@@ -47,7 +47,6 @@ def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-9)
     parser.add_argument("--max-support", type=int, default=None)
     parser.add_argument("--budget", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument(
         "--epsilon",
         type=float,
@@ -110,7 +109,6 @@ def _options_from(args: argparse.Namespace) -> SolveOptions:
         tol=args.tol,
         max_support=args.max_support,
         budget=_budget_from(args),
-        threads=args.threads,
     )
 
 
@@ -161,9 +159,8 @@ def _cmd_family(args: argparse.Namespace, out) -> int:
         hi = args.k_max if args.k_max is not None else spec.k_max
         k_range = (lo, hi)
     family = build_family(spec, k_range, epsilon_bonus=args.epsilon)
-    options = _options_from(args)
     report = FamilyReport(
-        family=family, result=equilibria_across_k(family, options), options=options
+        family=family, result=equilibria_across_k(family, _options_from(args))
     )
     _emit(args, report, out)
     return EXIT_OK
@@ -224,3 +221,7 @@ def run_cli(argv: list[str] | None = None, out=None, err=None) -> int:
 
 def main() -> None:
     sys.exit(run_cli())
+
+
+if __name__ == "__main__":
+    main()

@@ -10,25 +10,22 @@ equilibrium-partition supports between consecutive K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .games import DEFAULT_BUDGET, Game
+from .games import Game
 from .gamespec import GameSpec, build_game
 from .partitions import Partition, is_nested
 from .solver import (
     DEFAULT_TOL,
     EquilibriumResult,
-    _dedup_key,
-    _support_count,
+    _distinct,
     enumerate_pure_equilibria,
     support_enumeration,
 )
-
-DEDUP_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,12 +245,6 @@ class SolveOptions:
     tol: float = DEFAULT_TOL
     max_support: int | None = None
     budget: int | None = None
-    include_mixed: bool = True
-    threads: int = 1
-
-    @property
-    def effective_budget(self) -> int:
-        return DEFAULT_BUDGET if self.budget is None else self.budget
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,40 +283,25 @@ class FamilyEquilibriumReport:
 def _solve_game(
     game: Game, options: SolveOptions
 ) -> tuple[list[EquilibriumResult], list[str]]:
-    """Pure enumeration plus (budget permitting) mixed support search,
-    merged and deduplicated. Raises on a blown budget."""
+    """The one solve path: pure enumeration, then (budget permitting) the
+    mixed support search, merged and deduplicated; in strict mode only the
+    strict results are kept. A pure enumeration over budget raises."""
     notes: list[str] = []
-    equilibria = list(
-        enumerate_pure_equilibria(game, options.mode, options.tol, budget=options.budget)
+    equilibria = enumerate_pure_equilibria(
+        game, options.mode, options.tol, budget=options.budget
     )
-
-    if options.include_mixed:
-        caps = [
-            min(m, options.max_support if options.max_support else m)
-            for m in game.strategy_counts
-        ]
-        combos = 1
-        for m, cap in zip(game.strategy_counts, caps):
-            combos *= _support_count(m, cap)
-        if combos > options.effective_budget:
-            notes.append(
-                f"mixed search skipped: {combos} support combinations exceed "
-                f"the budget of {options.effective_budget}"
-            )
-        else:
-            kept = [_dedup_key(r.profile.vectors()) for r in equilibria]
-            for result in support_enumeration(
-                game,
-                options.max_support,
-                options.tol,
-                budget=options.budget,
-                threads=options.threads,
-            ):
-                key = _dedup_key(result.profile.vectors())
-                if any(np.abs(key - seen).max() <= DEDUP_TOL for seen in kept):
-                    continue
-                kept.append(key)
-                equilibria.append(result)
+    try:
+        equilibria += support_enumeration(
+            game, options.max_support, options.tol, budget=options.budget
+        )
+    except BudgetExceededError as exc:
+        notes.append(
+            f"mixed search skipped: {exc.required} support combinations exceed "
+            f"the budget of {exc.budget}"
+        )
+    equilibria = [equilibria[i] for i in _distinct([r.profile for r in equilibria])]
+    if options.mode == "strict":
+        equilibria = [r for r in equilibria if r.strict]
     return equilibria, notes
 
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -397,7 +397,7 @@ def _check_budget(required: int, budget: int | None, what: str) -> None:
     limit = DEFAULT_BUDGET if budget is None else budget
     if required > limit:
         raise BudgetExceededError(
-            f"{what} needs {required} profile evaluations, over the budget of "
+            f"{what} needs {required} evaluations, over the budget of "
             f"{limit}; raise the budget to force the exhaustive check",
             required=required,
             budget=limit,
@@ -458,26 +458,17 @@ def check_mechanism_axioms(
     else:
         maps_into = AxiomCheck(ok=True)
 
-    # Membership lists per partition; a profile in two domains or in none
-    # breaks disjointness/coverage respectively.
-    domains: list[set[int]] = [set() for _ in range(len(game.family))]
-    for pos, p in enumerate(flat):
-        if p >= 0:
-            domains[int(p)].add(pos)
-    sizes = [len(d) for d in domains]
-    total = sum(sizes)
-    overlap_free = total == len(set().union(*domains)) if domains else True
-    disjoint = AxiomCheck(ok=overlap_free)
-    if total == game.profile_count and overlap_free:
+    # Each profile stores exactly one partition index, so the induced domains
+    # are disjoint by construction; a profile outside the family is uncovered.
+    disjoint = AxiomCheck(ok=True)
+    sizes = np.bincount(flat[flat >= 0], minlength=len(game.family))
+    total = int(sizes.sum())
+    if total == game.profile_count:
         cover = AxiomCheck(ok=True)
     else:
-        missing = set(range(game.profile_count)) - set().union(*domains)
-        pos = min(missing) if missing else 0
         cover = AxiomCheck(
             ok=False,
-            counterexample=tuple(
-                int(v) for v in np.unravel_index(pos, game.strategy_counts)
-            ),
+            counterexample=maps_into.counterexample,
             detail=f"domains cover {total} of {game.profile_count} profiles",
         )
 
@@ -486,7 +477,7 @@ def check_mechanism_axioms(
         domains_disjoint=disjoint,
         domains_cover=cover,
         domain_sizes={
-            game.family[p]: sizes[p] for p in range(len(game.family)) if sizes[p]
+            game.family[p]: int(sizes[p]) for p in range(len(game.family)) if sizes[p]
         },
     )
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from .errors import GameSpecError, InvalidParameterError
 from .games import RULES, Game, make_game

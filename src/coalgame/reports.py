@@ -7,7 +7,7 @@ profile can be fed back through ``is_equilibrium``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from .families import (
     check_nesting,
 )
 from .games import Game, MechanismAxiomReport, check_mechanism_axioms
-from .solver import EquilibriumResult, MixedProfile, is_equilibrium
+from .solver import EquilibriumResult, MixedProfile
 from .partitions import Partition
 
 
@@ -47,7 +47,7 @@ def game_summary(game: Game) -> dict:
     }
 
 
-def equilibrium_to_dict(game: Game, result: EquilibriumResult, strict: bool) -> dict:
+def equilibrium_to_dict(game: Game, result: EquilibriumResult) -> dict:
     return {
         "profile": [v.tolist() for v in result.profile.vectors()],
         "support": [list(s) for s in result.support],
@@ -64,7 +64,7 @@ def equilibrium_to_dict(game: Game, result: EquilibriumResult, strict: bool) -> 
         },
         "max_regret": float(result.max_regret),
         "mode": result.mode,
-        "strict": bool(strict),
+        "strict": result.strict,
         "degenerate": bool(result.degenerate),
     }
 
@@ -76,7 +76,6 @@ class SolveReport:
     game: Game
     options: SolveOptions
     equilibria: tuple[EquilibriumResult, ...]
-    strict_flags: tuple[bool, ...]
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -87,8 +86,7 @@ class SolveReport:
             "tol": self.options.tol,
             "equilibrium_count": len(self.equilibria),
             "equilibria": [
-                equilibrium_to_dict(self.game, r, s)
-                for r, s in zip(self.equilibria, self.strict_flags)
+                equilibrium_to_dict(self.game, r) for r in self.equilibria
             ],
             "notes": list(self.notes),
         }
@@ -120,7 +118,7 @@ class SolveReport:
                 )
                 lines.append(f"  {key}  {named}  x{cnt}")
         shown = self.equilibria[:max_rows]
-        for idx, (result, strict) in enumerate(zip(shown, self.strict_flags)):
+        for idx, result in enumerate(shown):
             dist = ", ".join(
                 f"{p.key}:{w:.6g}"
                 for p, w in sorted(
@@ -128,7 +126,7 @@ class SolveReport:
                     key=lambda item: game.family.index_of(item[0]),
                 )
             )
-            tag = "strict" if strict else result.mode
+            tag = "strict" if result.strict else result.mode
             if result.degenerate:
                 tag += ", family sample"
             probs = "; ".join(
@@ -153,26 +151,16 @@ class SolveReport:
 def build_solve_report(game: Game, options: SolveOptions | None = None) -> SolveReport:
     """Run the solvers on one game and package the results.
 
-    Pure equilibria come first, then deduplicated mixed ones; each result is
-    tagged with its strict status. When a strict equilibrium coexists with
+    Pure equilibria come first, then deduplicated mixed ones; each result
+    carries its strict status from the solver. When a strict equilibrium coexists with
     weak-but-not-strict ones, a caveat note is emitted: uniqueness then holds
     only under the strict comparison, because switching the announced
     partition alone can leave the realized partition (and the payoff)
     unchanged.
     """
     options = options or SolveOptions()
-    equilibria, solver_notes = _solve_game(game, options)
-    strict_flags = tuple(
-        is_equilibrium(game, r.profile, "strict", options.tol).ok for r in equilibria
-    )
-    if options.mode == "strict":
-        pairs = [
-            (r, s) for r, s in zip(equilibria, strict_flags) if s
-        ]
-        equilibria = tuple(r for r, _ in pairs)
-        strict_flags = tuple(True for _ in pairs)
-    notes = list(solver_notes)
-    strict_count = sum(strict_flags)
+    equilibria, notes = _solve_game(game, options)
+    strict_count = sum(r.strict for r in equilibria)
     weak_only = len(equilibria) - strict_count
     if strict_count and weak_only:
         notes.append(
@@ -187,7 +175,6 @@ def build_solve_report(game: Game, options: SolveOptions | None = None) -> Solve
         game=game,
         options=options,
         equilibria=tuple(equilibria),
-        strict_flags=tuple(strict_flags),
         notes=tuple(notes),
     )
 
@@ -288,7 +275,6 @@ class FamilyReport:
 
     family: GameFamily
     result: FamilyEquilibriumReport
-    options: SolveOptions
 
     def to_dict(self) -> dict:
         per_k = []
@@ -302,14 +288,7 @@ class FamilyReport:
                     "equilibrium_count": len(entry.equilibria),
                     "equilibrium_partitions": [p.key for p in entry.partitions],
                     "equilibria": [
-                        equilibrium_to_dict(
-                            game,
-                            r,
-                            is_equilibrium(
-                                game, r.profile, "strict", self.options.tol
-                            ).ok,
-                        )
-                        for r in entry.equilibria
+                        equilibrium_to_dict(game, r) for r in entry.equilibria
                     ],
                 }
             )

@@ -13,9 +13,9 @@ All operations are pure functions of an immutable :class:`~coalgame.games.Game`.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -23,12 +23,8 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 from scipy import optimize
 
-from .errors import (
-    BudgetExceededError,
-    InternalInconsistencyError,
-    InvalidParameterError,
-)
-from .games import DEFAULT_BUDGET, Game, StrategyProfile
+from .errors import InternalInconsistencyError, InvalidParameterError
+from .games import Game, StrategyProfile, _check_budget
 from .partitions import Partition
 
 DEFAULT_TOL = 1e-9
@@ -114,7 +110,9 @@ class MixedProfile:
 @dataclass(frozen=True, eq=False)
 class EquilibriumResult:
     """A validated equilibrium: the profile, the mode it passed, expected
-    payoffs, the realized-partition distribution it induces, and its regret.
+    payoffs, the realized-partition distribution it induces, its regret, and
+    whether it is also strict (every pure strategy outside a player's support
+    does worse by more than the tolerance).
 
     ``degenerate`` marks a sample drawn from a continuum of equilibria (the
     indifference system was rank-deficient on this support); the sample is
@@ -127,6 +125,7 @@ class EquilibriumResult:
     partition_distribution: dict[Partition, float]
     max_regret: float
     support: tuple[tuple[int, ...], ...]
+    strict: bool
     degenerate: bool = False
 
 
@@ -165,11 +164,6 @@ def _deviation_payoffs(game: Game, sigmas: Sequence[np.ndarray]) -> list[np.ndar
             arr = np.tensordot(arr, sigmas[j], axes=([-1], [0]))
         out.append(arr)
     return out
-
-
-def _eu_vector(game: Game, sigmas: Sequence[np.ndarray]) -> np.ndarray:
-    dev = _deviation_payoffs(game, sigmas)
-    return np.array([float(sigmas[i] @ dev[i]) for i in range(game.n)])
 
 
 def expected_utility_components(
@@ -238,19 +232,29 @@ def is_equilibrium(
     if mode not in ("weak", "strict"):
         raise InvalidParameterError(f"mode must be 'weak' or 'strict', got {mode!r}")
     sigmas = _sigmas(game, profile)
-    dev = _deviation_payoffs(game, sigmas)
-    max_regret = 0.0
-    ok = True
-    for i in range(game.n):
-        eu = float(sigmas[i] @ dev[i])
-        max_regret = max(max_regret, float(dev[i].max() - eu))
-        if mode == "strict":
-            outside = sigmas[i] <= _NORM_TOL
-            if np.any(outside) and float(dev[i][outside].max()) >= eu - tol:
-                ok = False
-    if max_regret > tol:
-        ok = False
+    _, max_regret, strict = _regret_and_strict(
+        sigmas, _deviation_payoffs(game, sigmas), tol
+    )
+    ok = max_regret <= tol and (mode == "weak" or strict)
     return EquilibriumCheck(ok=ok, max_regret=max_regret)
+
+
+def _regret_and_strict(
+    sigmas: Sequence[np.ndarray], dev: Sequence[np.ndarray], tol: float
+) -> tuple[np.ndarray, float, bool]:
+    """From one deviation-payoff pass: each player's expected utility, the
+    largest gain of any pure deviation (floored at zero), and whether every
+    pure strategy outside a player's support does worse by more than ``tol``.
+    """
+    eu = np.array([float(sigmas[i] @ dev[i]) for i in range(len(sigmas))])
+    max_regret = 0.0
+    strict = True
+    for i, sigma in enumerate(sigmas):
+        max_regret = max(max_regret, float(dev[i].max() - eu[i]))
+        outside = sigma <= _NORM_TOL
+        if np.any(outside) and float(dev[i][outside].max()) >= eu[i] - tol:
+            strict = False
+    return eu, max_regret, strict
 
 
 def equilibrium_partitions(
@@ -291,33 +295,53 @@ def _pure_cell(sigmas: Sequence[np.ndarray]) -> tuple[int, ...] | None:
 
 
 def _make_result(
-    game: Game,
-    profile: MixedProfile,
-    mode: str,
-    max_regret: float,
-    degenerate: bool = False,
+    game: Game, profile: MixedProfile, tol: float, degenerate: bool
 ) -> EquilibriumResult:
+    """Package a profile that passed the weak check."""
     sigmas = _sigmas(game, profile)
+    eu, max_regret, strict = _regret_and_strict(
+        sigmas, _deviation_payoffs(game, sigmas), tol
+    )
     return EquilibriumResult(
         profile=profile,
-        mode=mode,
-        payoffs=_eu_vector(game, sigmas),
+        mode="weak",
+        payoffs=eu,
         partition_distribution=equilibrium_partitions(game, profile),
         max_regret=max_regret,
         support=tuple(s.support for s in profile.strategies),
+        strict=strict,
         degenerate=degenerate,
     )
 
 
-def _check_budget(required: int, budget: int | None, what: str) -> int:
-    limit = DEFAULT_BUDGET if budget is None else budget
-    if required > limit:
-        raise BudgetExceededError(
-            f"{what} needs {required} evaluations, over the budget of {limit}",
-            required=required,
-            budget=limit,
-        )
-    return limit
+def _distinct(profiles: Sequence[MixedProfile]) -> list[int]:
+    """Indices of the profiles that differ by more than ``DEDUP_TOL`` in some
+    coordinate from every earlier kept one; the first of a cluster wins.
+
+    Two profiles that close have projections onto any fixed weight vector
+    within ``DEDUP_TOL * sum(weights)`` of each other, so a new profile is
+    compared in full only with the kept ones in that window of the sorted
+    projections.
+    """
+    if not profiles:
+        return []
+    keys = np.array([np.concatenate(p.vectors()) for p in profiles])
+    weights = np.random.default_rng(0).random(keys.shape[1])
+    proj = (keys @ weights).tolist()
+    reach = 2 * DEDUP_TOL * float(weights.sum())
+    kept: list[int] = []
+    window: list[float] = []  # projections of the kept profiles, sorted
+    window_ids: list[int] = []
+    for index, x in enumerate(proj):
+        lo = bisect.bisect_left(window, x - reach)
+        near = window_ids[lo : bisect.bisect_right(window, x + reach)]
+        if near and (np.abs(keys[near] - keys[index]).max(axis=1) <= DEDUP_TOL).any():
+            continue
+        pos = bisect.bisect(window, x)
+        window.insert(pos, x)
+        window_ids.insert(pos, index)
+        kept.append(index)
+    return kept
 
 
 def _pure_regret_arrays(game: Game, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -344,7 +368,8 @@ def enumerate_pure_equilibria(
     *,
     budget: int | None = None,
 ) -> list[EquilibriumResult]:
-    """Exhaustively test every pure profile, in lexicographic profile order."""
+    """Exhaustively test every pure profile, in lexicographic profile order.
+    Each result carries its strict status from the same regret pass."""
     if mode not in ("weak", "strict"):
         raise InvalidParameterError(f"mode must be 'weak' or 'strict', got {mode!r}")
     _check_budget(game.profile_count, budget, "enumerate_pure_equilibria")
@@ -364,6 +389,7 @@ def enumerate_pure_equilibria(
                 partition_distribution=dist,
                 max_regret=float(regret[cell]),
                 support=tuple((k,) for k in cell),
+                strict=bool(strict[cell]),
             )
         )
     return results
@@ -520,17 +546,12 @@ def _n_player_candidates(
     return [(full_vectors(probs), degenerate)]
 
 
-def _dedup_key(vectors: Sequence[np.ndarray]) -> np.ndarray:
-    return np.concatenate(vectors)
-
-
 def support_enumeration(
     game: Game,
     max_support: int | None = None,
     tol: float = DEFAULT_TOL,
     *,
     budget: int | None = None,
-    threads: int = 1,
 ) -> list[EquilibriumResult]:
     """Search all support combinations up to ``max_support`` per player.
 
@@ -572,31 +593,19 @@ def support_enumeration(
     combos = itertools.product(
         *(list(_support_iter(m, cap)) for m, cap in zip(counts, caps))
     )
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            raw = list(pool.map(candidates_for, combos))
-    else:
-        raw = [candidates_for(combo) for combo in combos]
-
-    results: list[EquilibriumResult] = []
-    kept_keys: list[np.ndarray] = []
-    for cand_list in raw:
-        for vectors, degenerate in cand_list:
+    accepted: list[tuple[MixedProfile, bool]] = []
+    for combo in combos:
+        for vectors, degenerate in candidates_for(combo):
             try:
                 profile = MixedProfile.from_vectors(vectors)
             except InvalidParameterError:
                 continue
-            check = is_equilibrium(game, profile, "weak", tol)
-            if not check.ok:
-                continue
-            key = _dedup_key(profile.vectors())
-            if any(np.abs(key - seen).max() <= DEDUP_TOL for seen in kept_keys):
-                continue
-            kept_keys.append(key)
-            results.append(
-                _make_result(game, profile, "weak", check.max_regret, degenerate)
-            )
-    return results
+            if is_equilibrium(game, profile, "weak", tol).ok:
+                accepted.append((profile, degenerate))
+    return [
+        _make_result(game, accepted[i][0], tol, accepted[i][1])
+        for i in _distinct([profile for profile, _ in accepted])
+    ]
 
 
 class RefineResult(NamedTuple):

@@ -133,8 +133,8 @@ def test_criterion_05_extrovert_bonus_game():
 
     report = cg.build_solve_report(game, cg.SolveOptions(tol=TOL))
     sep_entries = [
-        (r, s)
-        for r, s in zip(report.equilibria, report.strict_flags)
+        (r, r.strict)
+        for r in report.equilibria
         if r.support == ((h_sep,), (h_sep,))
     ]
     flagged = any("uniqueness caveat" in note for note in report.notes)
@@ -328,7 +328,7 @@ def test_criterion_09_nesting_and_persistence():
     nest_ok = cg.check_nesting(pd_fam).ok and cg.check_nesting(dinner_fam).ok
 
     target = cg.parse_partition("0,1|2,3", 4)
-    report = cg.equilibria_across_k(dinner_fam, cg.SolveOptions(include_mixed=False))
+    report = cg.equilibria_across_k(dinner_fam)
     partitions_per_k = []
     persists = True
     for k in (2, 3, 4):

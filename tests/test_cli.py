@@ -1,5 +1,9 @@
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,20 @@ def test_partitions_lists_and_counts():
     assert len(lines) == 11
     assert lines[-1] == "count=10"
     assert "0,1|2,3" in lines
+
+
+def test_module_entry_point_runs_the_cli():
+    src = str(Path(cg.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-m", "coalgame.cli", "partitions", "4", "2"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0
+    assert len(set(lines[:-1])) == 10
+    assert lines[-1] == "count=10"
 
 
 def test_partitions_bad_parameters_exit_two():
@@ -121,6 +139,18 @@ def test_strict_mode_filters(spec_dir):
     payload = json.loads(out)
     assert all(e["strict"] for e in payload["equilibria"])
     assert any(e["payoffs"] == [-1.0, -1.0] for e in payload["equilibria"])
+
+
+def test_family_strict_mode_keeps_only_strict_equilibria(spec_dir):
+    spec = str(spec_dir / "pd.spec")
+    code, out, _ = _run("family", spec, "--mode", "strict", "--format", "json")
+    assert code == 0
+    by_k = {entry["K"]: entry for entry in json.loads(out)["per_k"]}
+    assert all(e["strict"] for entry in by_k.values() for e in entry["equilibria"])
+    code, out, _ = _run("solve", spec, "--K", "2", "--mode", "strict",
+                        "--format", "json")
+    assert code == 0
+    assert by_k[2]["equilibrium_count"] == json.loads(out)["equilibrium_count"]
 
 
 def test_family_report_for_pd(spec_dir):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import coalgame as cg
+from coalgame.families import _solve_game
 
 from conftest import find_strategy, pure_profile
 
@@ -139,8 +140,7 @@ def test_equilibria_across_k_extrovert_strict_joint():
 
 
 def test_dinner_two_table_outcome_persists_across_k(dinner_fam):
-    options = cg.SolveOptions(include_mixed=False)
-    report = cg.equilibria_across_k(dinner_fam, options)
+    report = cg.equilibria_across_k(dinner_fam)
     target = cg.parse_partition("0,1|2,3", 4)
     for k in (2, 3, 4):
         assert target in report.report_for(k).partitions
@@ -153,7 +153,7 @@ def test_dinner_two_table_outcome_persists_across_k(dinner_fam):
 
 def test_budget_errors_are_recorded_per_k_without_aborting(dinner_fam):
     report = cg.equilibria_across_k(
-        dinner_fam, cg.SolveOptions(budget=20000, include_mixed=False)
+        dinner_fam, cg.SolveOptions(budget=20000)
     )
     assert report.report_for(2).error is None
     assert report.report_for(3).error is not None
@@ -166,3 +166,26 @@ def test_every_reported_equilibrium_validates_on_its_own_game(pd_fam):
         game = pd_fam[entry.K]
         for result in entry.equilibria:
             assert cg.is_equilibrium(game, result.profile).ok
+
+
+@pytest.mark.parametrize("name", cg.BUNDLED_SPECS)
+def test_solver_strict_flag_matches_strict_recheck(name):
+    """The strict flag set once in the solver agrees with an independent
+    strict ``is_equilibrium`` check, and strict mode keeps exactly the
+    flagged results of weak mode."""
+    spec = cg.bundled_spec(name)
+    for k in range(1, spec.n + 1):
+        game = cg.build_game(spec, k)
+        if game.profile_count > cg.DEFAULT_BUDGET:
+            continue
+        weak, _ = _solve_game(game, cg.SolveOptions())
+        assert weak
+        for r in weak:
+            check = cg.is_equilibrium(game, r.profile, "strict", cg.DEFAULT_TOL)
+            assert r.strict == check.ok
+        strict, _ = _solve_game(game, cg.SolveOptions(mode="strict"))
+        assert [_flat(r) for r in strict] == [_flat(r) for r in weak if r.strict]
+
+
+def _flat(result):
+    return np.concatenate(result.profile.vectors()).tolist()

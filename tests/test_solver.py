@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import coalgame as cg
+from coalgame.solver import DEDUP_TOL, _distinct
 
 from conftest import find_strategy, pure_profile
 from test_games import _EscapingRule
@@ -266,11 +267,22 @@ def test_support_enumeration_budget(dinner):
         cg.support_enumeration(dinner)  # (2^10-1)^4 combinations
 
 
-def test_support_enumeration_threads_match_sequential(pennies, pd2):
-    for game in (pennies, pd2):
-        seq = cg.support_enumeration(game)
-        par = cg.support_enumeration(game, threads=4)
-        assert [r.support for r in seq] == [r.support for r in par]
+def test_distinct_matches_a_linear_scan():
+    rng = np.random.default_rng(7)
+    bases = [[rng.dirichlet(np.ones(3)), rng.dirichlet(np.ones(4))] for _ in range(20)]
+    profiles = []
+    for _ in range(300):
+        vectors = [v.copy() for v in bases[rng.integers(20)]]
+        shift = rng.choice([0.0, 0.5e-6, 0.99e-6, 1.01e-6, 3e-6])
+        vectors[rng.integers(2)][:2] += (shift, -shift)
+        profiles.append(cg.MixedProfile.from_vectors(vectors))
+    keys = [np.concatenate(p.vectors()) for p in profiles]
+    expected = []
+    for i, key in enumerate(keys):
+        if all(np.abs(key - keys[j]).max() > DEDUP_TOL for j in expected):
+            expected.append(i)
+    assert 20 < len(expected) < 300
+    assert _distinct(profiles) == expected
 
 
 # --- replicator refinement --------------------------------------------------
