@@ -33,6 +33,10 @@ DEFAULT_TOL = 1e-9
 EU_CONSISTENCY_TOL = 1e-10
 #: Candidate equilibria closer than this per coordinate are merged.
 DEDUP_TOL = 1e-6
+#: Most floats in one stack of two-player indifference matrices; larger
+#: support-size buckets are solved in chunks, so memory stays bounded
+#: whatever the budget.
+STACK_FLOATS = 1 << 18
 _NORM_TOL = 1e-12
 
 
@@ -375,10 +379,20 @@ def enumerate_pure_equilibria(
     _check_budget(game.profile_count, budget, "enumerate_pure_equilibria")
     regret, weak, strict = _pure_regret_arrays(game, tol)
     mask = weak if mode == "weak" else strict
+    # One immutable point mass per (player, strategy), shared by the results.
+    point_mass: dict[tuple[int, int], MixedStrategy] = {}
+
+    def pure_strategy(i: int, k: int) -> MixedStrategy:
+        if (i, k) not in point_mass:
+            v = np.zeros(game.strategy_counts[i])
+            v[k] = 1.0
+            point_mass[(i, k)] = MixedStrategy(v)
+        return point_mass[(i, k)]
+
     results = []
     for cell in np.argwhere(mask):
         cell = tuple(int(v) for v in cell)
-        profile = MixedProfile.pure(game, cell)
+        profile = MixedProfile(tuple(pure_strategy(i, k) for i, k in enumerate(cell)))
         p = int(game.realized_index[cell])
         dist = {game.family[p]: 1.0} if p >= 0 else {}
         results.append(
@@ -409,6 +423,23 @@ def _residual_ok(matrix: np.ndarray, solution: np.ndarray, rhs: np.ndarray) -> b
     return float(np.abs(matrix @ solution - rhs).max()) <= 1e-9 * scale
 
 
+def _accept(
+    matrix: np.ndarray, solution: np.ndarray, rhs: np.ndarray
+) -> np.ndarray | None:
+    """The acceptance checks on a solved indifference system: residual at
+    most 1e-9 * scale, entries at least -1e-9 and positive mass. Returns the
+    normalized mixture, or None."""
+    if not _residual_ok(matrix, solution, rhs):
+        return None
+    if solution.min() < -1e-9:
+        return None
+    solution = np.clip(solution, 0.0, None)
+    total = solution.sum()
+    if total <= 0:
+        return None
+    return solution / total
+
+
 def _solve_indifference(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, bool]:
     """Solve an indifference system; returns (solution or None, degenerate).
 
@@ -417,7 +448,6 @@ def _solve_indifference(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray
     carrying a continuum of solutions (the returned point is one sample).
     """
     rows, cols = matrix.shape
-    degenerate = False
     solution = None
     if rows == cols:
         try:
@@ -429,49 +459,132 @@ def _solve_indifference(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray
         degenerate = rank < cols
     else:
         degenerate = np.linalg.matrix_rank(matrix) < cols
-    if not _residual_ok(matrix, solution, rhs):
-        return None, degenerate
-    if solution.min() < -1e-9:
-        return None, degenerate
-    solution = np.clip(solution, 0.0, None)
-    total = solution.sum()
-    if total <= 0:
-        return None, degenerate
-    return solution / total, degenerate
+    return _accept(matrix, solution, rhs), bool(degenerate)
 
 
-def _two_player_candidates(
-    game: Game, supports: tuple[tuple[int, ...], ...]
-) -> list[tuple[list[np.ndarray], bool]]:
-    """Solve both players' indifference systems on a support pair."""
-    (t0, t1) = supports
+def _indifference_systems(
+    a: np.ndarray, b: np.ndarray, t0: np.ndarray, t1: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Both players' indifference systems for a stack of support pairs.
+
+    Row k of ``t0`` (N x s0) and of ``t1`` (N x s1) is one pair. Player 0
+    indifferent across t0 pins down player 1's mixture (``m_y``, N x s0 x
+    s1), and vice versa (``m_x``, N x s1 x s0); each system carries the
+    simplex normalization as its last row, so its right-hand side is the
+    last unit vector.
+    """
+    sub_a = a[t0[:, :, None], t1[:, None, :]]
+    sub_b = b[t0[:, :, None], t1[:, None, :]]
+    n, s0, s1 = sub_a.shape
+    m_y = np.concatenate(
+        [sub_a[:, 1:, :] - sub_a[:, :1, :], np.ones((n, 1, s1))], axis=1
+    )
+    m_x = np.concatenate(
+        [(sub_b[:, :, 1:] - sub_b[:, :, :1]).transpose(0, 2, 1), np.ones((n, 1, s0))],
+        axis=1,
+    )
+    return m_y, m_x
+
+
+def _screen_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Screen a stack of indifference systems (right-hand side: last unit
+    vector) with stacked linear algebra.
+
+    Returns ``(solutions, rejected)``. Row k of ``solutions`` holds the
+    stacked solve of a full-rank square system, bit-for-bit the solution
+    ``_solve_indifference`` computes for it, and is NaN where only its scalar
+    steps can decide: a rank-deficient or rectangular system, or one whose
+    stacked solve failed. ``rejected`` marks the systems
+    ``_solve_indifference`` is sure to reject: a stacked solution with an
+    entry below -1e-9, or an overdetermined system whose least-squares
+    residual exceeds 1e-6 * scale in 2-norm. The residual of any solution is
+    at least that large, and its largest entry at least its 2-norm over
+    sqrt(rows), so the screen sits over 1000 times above the 1e-9 * scale
+    acceptance bound. An underdetermined system is never rejected here: with
+    its rows independent it is always consistent.
+    """
+    n, rows, cols = matrices.shape
+    solutions = np.full((n, cols), np.nan)
+    if rows == cols:
+        full = np.linalg.matrix_rank(matrices) == cols
+        if full.any():
+            rhs = np.zeros((int(full.sum()), rows, 1))
+            rhs[:, -1] = 1.0
+            try:
+                solutions[full] = np.linalg.solve(matrices[full], rhs)[..., 0]
+            except np.linalg.LinAlgError:
+                pass
+            solutions[~np.isfinite(solutions).all(axis=1)] = np.nan
+        return solutions, solutions.min(axis=1) < -1e-9
+    if rows < cols:
+        return solutions, np.zeros(n, dtype=bool)
+    # The part of the right-hand side outside the span of the reduced QR
+    # factor's columns; that span contains the range, so this is at most the
+    # least-squares residual.
+    q = np.linalg.qr(matrices)[0]
+    residual = -(q @ q[:, -1, :, None])[..., 0]
+    residual[:, -1] += 1.0
+    scale = np.maximum(1.0, np.abs(matrices).max(axis=(1, 2)))
+    return solutions, np.linalg.norm(residual, axis=1) > 1e-6 * scale
+
+
+def _finish(matrix: np.ndarray, solution: np.ndarray) -> tuple[np.ndarray | None, bool]:
+    """``_solve_indifference`` for one system of a screened stack: the
+    acceptance checks on a stacked solution, the scalar steps otherwise."""
+    rhs = np.zeros(len(matrix))
+    rhs[-1] = 1.0
+    if np.isnan(solution[0]):
+        return _solve_indifference(matrix, rhs)
+    return _accept(matrix, solution, rhs), False
+
+
+def _two_player_mixed_candidates(
+    game: Game,
+    supports0: Sequence[tuple[int, ...]],
+    supports1: Sequence[tuple[int, ...]],
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[list[np.ndarray], bool]]:
+    """Candidates of a two-player game on every support pair with a support
+    of two or more strategies, keyed by the pair.
+
+    Pairs are solved one stack per (|t0|, |t1|) bucket, in chunks of at most
+    ``STACK_FLOATS`` floats per matrix stack. A pair yields the candidate
+    ``_solve_indifference`` gives for both its systems, with the same
+    ``degenerate`` flag; only systems the screen cannot settle take its
+    scalar steps.
+    """
     a = game.payoff_tensor[..., 0]
     b = game.payoff_tensor[..., 1]
-
-    # Player 0 indifferent across t0 pins down player 1's mixture, and vice
-    # versa; each system carries the simplex normalization as its last row.
-    m_y = np.vstack(
-        [a[np.ix_([s], t1)][0] - a[np.ix_([t0[0]], t1)][0] for s in t0[1:]]
-        + [np.ones(len(t1))]
-    )
-    m_x = np.vstack(
-        [b[np.ix_(t0, [s])][:, 0] - b[np.ix_(t0, [t1[0]])][:, 0] for s in t1[1:]]
-        + [np.ones(len(t0))]
-    )
-    rhs_y = np.zeros(len(t0))
-    rhs_y[-1] = 1.0
-    rhs_x = np.zeros(len(t1))
-    rhs_x[-1] = 1.0
-
-    y, degen_y = _solve_indifference(m_y, rhs_y)
-    x, degen_x = _solve_indifference(m_x, rhs_x)
-    if x is None or y is None:
-        return []
-    full_x = np.zeros(game.strategy_counts[0])
-    full_x[list(t0)] = x
-    full_y = np.zeros(game.strategy_counts[1])
-    full_y[list(t1)] = y
-    return [([full_x, full_y], degen_y or degen_x)]
+    # Supports come in increasing size, so each group holds one size.
+    groups0 = [list(g) for _, g in itertools.groupby(supports0, len)]
+    groups1 = [list(g) for _, g in itertools.groupby(supports1, len)]
+    found = {}
+    for group0 in groups0:
+        for group1 in groups1:
+            s0, s1 = len(group0[0]), len(group1[0])
+            if s0 == s1 == 1:
+                continue
+            rows0, rows1 = np.array(group0), np.array(group1)
+            pairs = len(group0) * len(group1)
+            step = max(1, STACK_FLOATS // (s0 * s1))
+            for start in range(0, pairs, step):
+                i0, i1 = np.divmod(np.arange(start, min(start + step, pairs)), len(group1))
+                m_y, m_x = _indifference_systems(a, b, rows0[i0], rows1[i1])
+                sol_y, rejected_y = _screen_stack(m_y)
+                sol_x, rejected_x = _screen_stack(m_x)
+                for k in np.flatnonzero(~(rejected_y | rejected_x)):
+                    y, degen_y = _finish(m_y[k], sol_y[k])
+                    if y is None:
+                        continue
+                    x, degen_x = _finish(m_x[k], sol_x[k])
+                    if x is None:
+                        continue
+                    t0, t1 = group0[i0[k]], group1[i1[k]]
+                    full_x = np.zeros(game.strategy_counts[0])
+                    full_x[list(t0)] = x
+                    full_y = np.zeros(game.strategy_counts[1])
+                    full_y[list(t1)] = y
+                    found[(t0, t1)] = ([full_x, full_y], degen_y or degen_x)
+    return found
 
 
 def _n_player_candidates(
@@ -542,7 +655,7 @@ def _n_player_candidates(
         bump = np.zeros_like(z)
         bump[j] = h
         jac[:, j] = (system(z + bump) - system(z - bump)) / (2 * h)
-    degenerate = np.linalg.matrix_rank(jac) < z.size
+    degenerate = bool(np.linalg.matrix_rank(jac) < z.size)
     return [(full_vectors(probs), degenerate)]
 
 
@@ -561,7 +674,10 @@ def support_enumeration(
     deduplicated within per-coordinate distance 1e-6. Singular systems are
     sampled rather than skipped: the sample is reported with
     ``degenerate=True`` to mark a continuum of equilibria on that support.
-    Pure-support combinations reuse the exhaustive pure-profile check.
+    Pure-support combinations reuse the exhaustive pure-profile check. Two
+    players' systems are solved in stacks by support size; every candidate
+    is still validated in combination order, so the first of a cluster of
+    near-duplicates is the one kept.
     """
     counts = game.strategy_counts
     caps = [min(m, max_support if max_support else m) for m in counts]
@@ -573,6 +689,9 @@ def support_enumeration(
     _check_budget(total, budget, "support_enumeration")
 
     _, weak_mask, _ = _pure_regret_arrays(game, tol)
+    supports = [list(_support_iter(m, cap)) for m, cap in zip(counts, caps)]
+    if game.n == 2:
+        two_player = _two_player_mixed_candidates(game, *supports)
 
     def candidates_for(combo: tuple[tuple[int, ...], ...]):
         sizes = [len(t) for t in combo]
@@ -587,14 +706,11 @@ def support_enumeration(
                 return [(vecs, False)]
             return []
         if game.n == 2:
-            return _two_player_candidates(game, combo)
+            return [two_player[combo]] if combo in two_player else []
         return _n_player_candidates(game, combo)
 
-    combos = itertools.product(
-        *(list(_support_iter(m, cap)) for m, cap in zip(counts, caps))
-    )
     accepted: list[tuple[MixedProfile, bool]] = []
-    for combo in combos:
+    for combo in itertools.product(*supports):
         for vectors, degenerate in candidates_for(combo):
             try:
                 profile = MixedProfile.from_vectors(vectors)

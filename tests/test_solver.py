@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coalgame as cg
+from coalgame import solver
 from coalgame.solver import DEDUP_TOL, _distinct
 
 from conftest import find_strategy, pure_profile
@@ -283,6 +287,175 @@ def test_distinct_matches_a_linear_scan():
             expected.append(i)
     assert 20 < len(expected) < 300
     assert _distinct(profiles) == expected
+
+
+# --- two-player stacked solves ----------------------------------------------
+
+def _action_game(payoffs):
+    """Two players at K=1 with one action per row/column of ``payoffs``
+    (shape m x m x 2)."""
+    m = payoffs.shape[0]
+    labels = tuple(f"a{k}" for k in range(m))
+    return cg.make_game(
+        ["x", "y"], K=1, action_labels=labels,
+        exact_payoffs={
+            ("0|1", (labels[i], labels[j])): payoffs[i, j].tolist()
+            for i in range(m) for j in range(m)
+        },
+    )
+
+
+def _generic_game(m, seed):
+    return _action_game(np.random.default_rng(seed).random((m, m, 2)))
+
+
+_hypothesis_settings = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+)
+_small_int_games = st.integers(2, 4).flatmap(
+    lambda m: st.lists(st.integers(0, 2), min_size=2 * m * m, max_size=2 * m * m).map(
+        lambda values: _action_game(np.array(values, dtype=float).reshape(m, m, 2))
+    )
+)
+
+
+def _per_pair_support_enumeration(game, max_support=None, tol=cg.DEFAULT_TOL):
+    """Reference: one pair of ``np.ix_`` systems and two scalar
+    ``_solve_indifference`` calls per support pair, validated and
+    deduplicated as ``support_enumeration`` does."""
+    counts = game.strategy_counts
+    a, b = game.payoff_tensor[..., 0], game.payoff_tensor[..., 1]
+    _, weak, _ = solver._pure_regret_arrays(game, tol)
+    supports = [solver._support_iter(m, min(m, max_support or m)) for m in counts]
+    accepted = []
+    for t0, t1 in itertools.product(*(list(s) for s in supports)):
+        vectors = [np.zeros(counts[0]), np.zeros(counts[1])]
+        if len(t0) == len(t1) == 1:
+            if not weak[t0[0], t1[0]]:
+                continue
+            vectors[0][t0[0]] = vectors[1][t1[0]] = 1.0
+            degenerate = False
+        else:
+            m_y = np.vstack(
+                [a[np.ix_([s], t1)][0] - a[np.ix_([t0[0]], t1)][0] for s in t0[1:]]
+                + [np.ones(len(t1))]
+            )
+            m_x = np.vstack(
+                [b[np.ix_(t0, [s])][:, 0] - b[np.ix_(t0, [t1[0]])][:, 0] for s in t1[1:]]
+                + [np.ones(len(t0))]
+            )
+            y, degen_y = solver._solve_indifference(m_y, np.eye(len(t0))[-1])
+            x, degen_x = solver._solve_indifference(m_x, np.eye(len(t1))[-1])
+            if x is None or y is None:
+                continue
+            vectors[0][list(t0)] = x
+            vectors[1][list(t1)] = y
+            degenerate = degen_y or degen_x
+        try:
+            profile = cg.MixedProfile.from_vectors(vectors)
+        except cg.InvalidParameterError:
+            continue
+        if cg.is_equilibrium(game, profile, "weak", tol).ok:
+            accepted.append((profile, degenerate))
+    return [
+        solver._make_result(game, accepted[i][0], tol, accepted[i][1])
+        for i in _distinct([profile for profile, _ in accepted])
+    ]
+
+
+def _assert_same_results(game, max_support=None):
+    got = cg.support_enumeration(game, max_support=max_support)
+    expected = _per_pair_support_enumeration(game, max_support)
+    assert len(got) == len(expected)
+    for r, e in zip(got, expected):
+        assert all(
+            np.array_equal(v, w) for v, w in zip(r.profile.vectors(), e.profile.vectors())
+        )
+        assert (r.support, r.degenerate, r.strict) == (e.support, e.degenerate, e.strict)
+
+
+def test_stacked_solves_match_the_per_pair_reference(pennies, pd2, pd_ext):
+    for game in (pennies, pd2, pd_ext):
+        _assert_same_results(game)
+    for m in range(2, 6):
+        for seed in range(3):
+            game = _generic_game(m, seed)
+            _assert_same_results(game)
+            _assert_same_results(game, max_support=2)
+
+
+@_hypothesis_settings
+@given(_small_int_games)
+def test_stacked_solves_match_the_reference_on_tied_payoffs(game):
+    _assert_same_results(game)
+
+
+def test_stacked_solves_match_the_reference_one_matrix_per_stack(
+    monkeypatch, pennies, pd2, pd_ext
+):
+    tied = _action_game(np.random.default_rng(4).integers(0, 3, (4, 4, 2)).astype(float))
+    monkeypatch.setattr(solver, "STACK_FLOATS", 1)
+    for game in (pennies, pd2, pd_ext, _generic_game(4, 0), tied):
+        _assert_same_results(game)
+
+
+def _screened_rectangular_systems(game):
+    """(matrix, rejected) for every rectangular indifference system."""
+    a, b = game.payoff_tensor[..., 0], game.payoff_tensor[..., 1]
+    m0, m1 = game.strategy_counts
+    for s0, s1 in itertools.product(range(1, m0 + 1), range(1, m1 + 1)):
+        if s0 == s1:
+            continue
+        pairs = list(itertools.product(
+            itertools.combinations(range(m0), s0), itertools.combinations(range(m1), s1)
+        ))
+        t0 = np.array([p[0] for p in pairs])
+        t1 = np.array([p[1] for p in pairs])
+        for stack in solver._indifference_systems(a, b, t0, t1):
+            _, rejected = solver._screen_stack(stack)
+            yield from zip(stack, rejected)
+
+
+def _assert_screen_is_conservative(game):
+    rejected = 0
+    for matrix, skip in _screened_rectangular_systems(game):
+        if skip:
+            rejected += 1
+            assert solver._solve_indifference(matrix, np.eye(len(matrix))[-1])[0] is None
+    return rejected
+
+
+@_hypothesis_settings
+@given(_small_int_games)
+def test_screen_rejects_only_systems_the_scalar_solve_rejects(game):
+    _assert_screen_is_conservative(game)
+
+
+def test_screen_rejects_inconsistent_generic_systems():
+    game = _generic_game(5, 1)
+    overdetermined = sum(
+        len(matrix) > matrix.shape[1] for matrix, _ in _screened_rectangular_systems(game)
+    )
+    assert _assert_screen_is_conservative(game) == overdetermined
+
+
+def test_result_flags_are_python_bools(pennies, pd2, pd_ext):
+    coordination = cg.make_game(
+        ["a", "b", "c"],
+        K=1,
+        action_labels=("left", "right"),
+        exact_payoffs={
+            ("0|1|2", ("left", "left", "left")): [1, 1, 1],
+            ("0|1|2", ("right", "right", "right")): [1, 1, 1],
+        },
+    )
+    for game in (pennies, pd2, pd_ext, coordination):
+        results = cg.support_enumeration(game)
+        # pennies and the three-player game have mixed results, whose flags
+        # come from the rank tests of the indifference solvers.
+        assert results
+        for r in results:
+            assert type(r.degenerate) is bool and type(r.strict) is bool
 
 
 # --- replicator refinement --------------------------------------------------
