@@ -5,16 +5,13 @@ axioms and nesting), ``solve`` (equilibria of one game), ``family``
 (cross-K report), ``examples`` (emit the bundled spec files).
 
 Exit codes: 0 success, 1 failed checks or unexpected error, 2 bad
-input/spec, 3 budget exceeded, 4 internal inconsistency. The exhaustive
-budget can also be set via the ``COALGAME_BUDGET`` environment variable
-(the ``--budget`` flag wins).
+input/spec, 3 budget exceeded, 4 internal inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -26,7 +23,7 @@ from .errors import (
     InternalInconsistencyError,
     InvalidParameterError,
 )
-from .families import SolveOptions, build_family, equilibria_across_k
+from .families import DEFAULT_TOL, SolveOptions, build_family, equilibria_across_k
 from .gamespec import build_game, parse_spec
 from .partitions import count_partitions, enumerate_partitions
 from .reports import (
@@ -44,7 +41,7 @@ EXIT_INCONSISTENT = 4
 
 def _add_solver_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mode", choices=("weak", "strict"), default="weak")
-    parser.add_argument("--tol", type=float, default=1e-9)
+    parser.add_argument("--tol", type=float, default=DEFAULT_TOL)
     parser.add_argument("--max-support", type=int, default=None)
     parser.add_argument("--budget", type=int, default=None)
     parser.add_argument(
@@ -96,19 +93,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _budget_from(args: argparse.Namespace) -> int | None:
-    if getattr(args, "budget", None) is not None:
-        return args.budget
-    env = os.environ.get("COALGAME_BUDGET")
-    return int(env) if env else None
-
-
 def _options_from(args: argparse.Namespace) -> SolveOptions:
     return SolveOptions(
         mode=args.mode,
         tol=args.tol,
         max_support=args.max_support,
-        budget=_budget_from(args),
+        budget=args.budget,
     )
 
 
@@ -138,7 +128,7 @@ def _cmd_partitions(args: argparse.Namespace, out) -> int:
 def _cmd_validate(args: argparse.Namespace, out) -> int:
     spec = _read_spec(args.spec)
     family = build_family(spec)
-    report = build_validate_report(family, budget=_budget_from(args))
+    report = build_validate_report(family, budget=args.budget)
     _emit(args, report, out)
     return EXIT_OK if report.ok else EXIT_FAILED_CHECKS
 

@@ -10,7 +10,8 @@ equilibrium-partition supports between consecutive K.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -22,6 +23,7 @@ from .partitions import Partition, is_nested
 from .solver import (
     DEFAULT_TOL,
     EquilibriumResult,
+    _check_solve_args,
     _distinct,
     enumerate_pure_equilibria,
     support_enumeration,
@@ -239,12 +241,15 @@ def check_nesting(family: GameFamily) -> NestingReport:
 
 @dataclass(frozen=True)
 class SolveOptions:
-    """Knobs shared by the solvers and the CLI."""
+    """Knobs shared by the solvers and the CLI, checked on construction."""
 
     mode: str = "weak"
     tol: float = DEFAULT_TOL
     max_support: int | None = None
     budget: int | None = None
+
+    def __post_init__(self):
+        _check_solve_args(self.mode, self.tol, self.max_support)
 
 
 @dataclass(frozen=True, eq=False)
@@ -255,6 +260,7 @@ class KReport:
 
     K: int
     equilibria: tuple[EquilibriumResult, ...]
+    #: The partitions the equilibria realize, in family order.
     partitions: tuple[Partition, ...]
     error: str | None = None
     notes: tuple[str, ...] = ()
@@ -301,8 +307,19 @@ def _solve_game(
         )
     equilibria = [equilibria[i] for i in _distinct([r.profile for r in equilibria])]
     if options.mode == "strict":
-        equilibria = [r for r in equilibria if r.strict]
+        equilibria = [replace(r, mode="strict") for r in equilibria if r.strict]
     return equilibria, notes
+
+
+def _partition_counts(
+    game: Game, equilibria: Sequence[EquilibriumResult]
+) -> dict[Partition, int]:
+    """How many equilibria realize each partition with probability above
+    1e-9, for the partitions some equilibrium realizes, in family order."""
+    counts = Counter(
+        p for r in equilibria for p, w in r.partition_distribution.items() if w > 1e-9
+    )
+    return {p: counts[p] for p in game.family if p in counts}
 
 
 def _solve_one(game: Game, options: SolveOptions) -> KReport:
@@ -310,19 +327,10 @@ def _solve_one(game: Game, options: SolveOptions) -> KReport:
         equilibria, notes = _solve_game(game, options)
     except BudgetExceededError as exc:
         return KReport(K=game.K, equilibria=(), partitions=(), error=str(exc))
-
-    mass: dict[Partition, float] = {}
-    for result in equilibria:
-        for partition, prob in result.partition_distribution.items():
-            if prob > 1e-9:
-                mass[partition] = mass.get(partition, 0.0) + prob
-    ordered = tuple(
-        sorted(mass, key=lambda p: game.family.index_of(p))
-    )
     return KReport(
         K=game.K,
         equilibria=tuple(equilibria),
-        partitions=ordered,
+        partitions=tuple(_partition_counts(game, equilibria)),
         notes=tuple(notes),
     )
 

@@ -327,29 +327,35 @@ class Game:
 
     @cached_property
     def payoff_tensor(self) -> np.ndarray:
-        """Payoff vectors for every pure profile, shape strategy_counts + (n,)."""
-        out = np.empty(self.strategy_counts + (self.n,), dtype=np.float64)
-        keys = [p.key for p in self.family]
-        bonus_index = (
-            self.family.index_of(self.epsilon.partition)
-            if self.epsilon is not None
-            else -2
+        """Payoff vectors for every pure profile, shape strategy_counts + (n,).
+
+        A profile's payoff depends only on its realized partition and its
+        action ids, so each distinct (``realized_index``, action ids) cell is
+        looked up once and scattered by index. A profile the rule maps
+        outside the family is looked up by the key of the rule's own output.
+        """
+        bonus_at = self.family.index_of(self.epsilon.partition) if self.epsilon else -1
+        realized = self.realized_index.reshape(-1)
+        action_ids = np.meshgrid(
+            *[[s.action.id for s in strategies] for strategies in self.strategy_sets],
+            indexing="ij",
         )
-        bonus = (
-            np.asarray(self.epsilon.per_player) if self.epsilon is not None else None
-        )
-        realized = self.realized_index
-        for indices, profile in self.iter_profiles():
-            p = int(realized[indices])
+        cells = np.stack([realized, *(ids.reshape(-1) for ids in action_ids)], axis=1)
+        rows, inverse = np.unique(cells, axis=0, return_inverse=True)
+        table = np.zeros((len(rows), self.n))
+        for r, (p, *actions) in enumerate(rows.tolist()):
             if p >= 0:
-                key = keys[p]
-            else:
-                key = self.rule.realize(profile).key
+                table[r] = self.payoffs.lookup(self.family[p].key, tuple(actions))
+                if p == bonus_at:
+                    table[r] += self.epsilon.per_player
+        out = table[inverse.reshape(-1)]
+        for flat in np.flatnonzero(realized < 0).tolist():
+            profile = self.profile_from_indices(
+                np.unravel_index(flat, self.strategy_counts)
+            )
             actions = tuple(choice.action.id for choice in profile)
-            vec = np.asarray(self.payoffs.lookup(key, actions), dtype=np.float64)
-            if p == bonus_index:
-                vec = vec + bonus
-            out[indices] = vec
+            out[flat] = self.payoffs.lookup(self.rule.realize(profile).key, actions)
+        out = out.reshape(self.strategy_counts + (self.n,))
         out.flags.writeable = False
         return out
 
@@ -394,6 +400,8 @@ def induced_domain(
 
 
 def _check_budget(required: int, budget: int | None, what: str) -> None:
+    if budget is not None and budget < 0:
+        raise InvalidParameterError(f"budget must be nonnegative, got {budget}")
     limit = DEFAULT_BUDGET if budget is None else budget
     if required > limit:
         raise BudgetExceededError(
@@ -421,6 +429,7 @@ class MechanismAxiomReport:
     maps_into_family: AxiomCheck
     domains_disjoint: AxiomCheck
     domains_cover: AxiomCheck
+    #: Profiles per nonempty induced domain, in family order.
     domain_sizes: dict[Partition, int] = field(default_factory=dict)
 
     @property

@@ -16,6 +16,7 @@ from .families import (
     GameFamily,
     NestingReport,
     SolveOptions,
+    _partition_counts,
     _solve_game,
     check_nesting,
 )
@@ -57,10 +58,7 @@ def equilibrium_to_dict(game: Game, result: EquilibriumResult) -> dict:
         ],
         "payoffs": [float(x) for x in result.payoffs],
         "partition_distribution": {
-            p.key: float(w) for p, w in sorted(
-                result.partition_distribution.items(),
-                key=lambda item: game.family.index_of(item[0]),
-            )
+            p.key: float(w) for p, w in result.partition_distribution.items()
         },
         "max_regret": float(result.max_regret),
         "mode": result.mode,
@@ -100,31 +98,15 @@ class SolveReport:
             f"mode={self.options.mode} tol={self.options.tol:g}",
             f"{len(self.equilibria)} validated equilibria",
         ]
-        by_partition: dict[str, int] = {}
-        for result in self.equilibria:
-            for p, w in result.partition_distribution.items():
-                if w > 1e-9:
-                    by_partition[p.key] = by_partition.get(p.key, 0) + 1
+        by_partition = _partition_counts(game, self.equilibria)
         if by_partition:
             lines.append("equilibrium partitions (count of equilibria touching):")
-            for key, cnt in sorted(
-                by_partition.items(),
-                key=lambda kv: self.game.family.index_of(
-                    next(p for p in self.game.family if p.key == kv[0])
-                ),
-            ):
-                named = pretty_partition(
-                    next(p for p in game.family if p.key == key), game.players
-                )
-                lines.append(f"  {key}  {named}  x{cnt}")
+            for p, cnt in by_partition.items():
+                lines.append(f"  {p.key}  {pretty_partition(p, game.players)}  x{cnt}")
         shown = self.equilibria[:max_rows]
         for idx, result in enumerate(shown):
             dist = ", ".join(
-                f"{p.key}:{w:.6g}"
-                for p, w in sorted(
-                    result.partition_distribution.items(),
-                    key=lambda item: game.family.index_of(item[0]),
-                )
+                f"{p.key}:{w:.6g}" for p, w in result.partition_distribution.items()
             )
             tag = "strict" if result.strict else result.mode
             if result.degenerate:
@@ -210,10 +192,7 @@ class ValidateReport:
                     "domains_disjoint": report.domains_disjoint.ok,
                     "domains_cover": report.domains_cover.ok,
                     "domain_sizes": {
-                        p.key: size for p, size in sorted(
-                            report.domain_sizes.items(),
-                            key=lambda item: self.family[k].family.index_of(item[0]),
-                        )
+                        p.key: size for p, size in report.domain_sizes.items()
                     },
                 }
                 for k, report in self.axioms.items()
@@ -244,11 +223,7 @@ class ValidateReport:
                 f"cover={'ok' if report.domains_cover.ok else 'FAIL'}"
             )
             sizes = ", ".join(
-                f"{p.key}:{size}"
-                for p, size in sorted(
-                    report.domain_sizes.items(),
-                    key=lambda item: self.family[k].family.index_of(item[0]),
-                )
+                f"{p.key}:{size}" for p, size in report.domain_sizes.items()
             )
             lines.append(f"  domain sizes: {sizes}")
         for pair in self.nesting.pairs:

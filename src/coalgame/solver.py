@@ -3,10 +3,12 @@ support enumeration for mixed equilibria, and a replicator refiner.
 
 Best responses are checked against pure deviations only, which suffices in
 finite games: a mixed deviation is a convex combination of pure ones, so its
-expected utility never exceeds the best pure deviation. Every candidate an
-algorithm produces is validated with ``is_equilibrium`` before it is
-reported; the reported ``max_regret`` is the largest improvement any pure
-deviation achieves (floored at zero).
+expected utility never exceeds the best pure deviation. Pure equilibria are
+read off ``_pure_regret_arrays``, which holds every pure profile's gain from
+each unilateral pure deviation; every candidate of the mixed support search
+is validated with ``is_equilibrium`` before it is reported. The reported
+``max_regret`` is the largest improvement any pure deviation achieves
+(floored at zero).
 
 All operations are pure functions of an immutable :class:`~coalgame.games.Game`.
 """
@@ -93,12 +95,9 @@ class MixedProfile:
 
     @staticmethod
     def pure(game: Game, indices: Sequence[int]) -> "MixedProfile":
-        vectors = []
-        for i, k in enumerate(indices):
-            v = np.zeros(game.strategy_counts[i])
-            v[k] = 1.0
-            vectors.append(v)
-        return MixedProfile.from_vectors(vectors)
+        return MixedProfile.from_vectors(
+            _embed(m, (k,), 1.0) for m, k in zip(game.strategy_counts, indices)
+        )
 
     @staticmethod
     def from_profile(game: Game, profile: StrategyProfile) -> "MixedProfile":
@@ -126,6 +125,8 @@ class EquilibriumResult:
     profile: MixedProfile
     mode: str
     payoffs: np.ndarray
+    #: Probability of each realized partition it puts weight on, in family
+    #: order.
     partition_distribution: dict[Partition, float]
     max_regret: float
     support: tuple[tuple[int, ...], ...]
@@ -158,13 +159,25 @@ def _prob_tensor(sigmas: Sequence[np.ndarray]) -> np.ndarray:
     return reduce(np.multiply.outer, sigmas)
 
 
-def _deviation_payoffs(game: Game, sigmas: Sequence[np.ndarray]) -> list[np.ndarray]:
+def _embed(m: int, support: Sequence[int], weights) -> np.ndarray:
+    """Length-``m`` strategy vector with ``weights`` on ``support``, zero
+    elsewhere."""
+    v = np.zeros(m)
+    v[list(support)] = weights
+    return v
+
+
+def _deviation_payoffs(
+    payoffs: np.ndarray, sigmas: Sequence[np.ndarray]
+) -> list[np.ndarray]:
     """Per player: expected payoff of each pure strategy against the others'
-    mixtures."""
+    mixtures, from a payoff tensor (a game's, or a sub-tensor of it) whose
+    axes match ``sigmas``."""
+    n = len(sigmas)
     out = []
-    for i in range(game.n):
-        arr = np.moveaxis(game.payoff_tensor[..., i], i, 0)
-        for j in reversed([j for j in range(game.n) if j != i]):
+    for i in range(n):
+        arr = np.moveaxis(payoffs[..., i], i, 0)
+        for j in reversed([j for j in range(n) if j != i]):
             arr = np.tensordot(arr, sigmas[j], axes=([-1], [0]))
         out.append(arr)
     return out
@@ -216,6 +229,18 @@ def expected_utility(game: Game, profile: MixedProfile, player: int) -> float:
     return direct
 
 
+def _check_solve_args(mode: str, tol: float, max_support: int | None = None) -> None:
+    """The one check of the solver options: a known mode, a positive
+    tolerance, and a support cap (None for none) of at least one. Budgets
+    are checked by ``games._check_budget``."""
+    if mode not in ("weak", "strict"):
+        raise InvalidParameterError(f"mode must be 'weak' or 'strict', got {mode!r}")
+    if not tol > 0:
+        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    if max_support is not None and max_support < 1:
+        raise InvalidParameterError(f"max_support must be at least 1, got {max_support}")
+
+
 def is_equilibrium(
     game: Game,
     profile: MixedProfile,
@@ -231,13 +256,10 @@ def is_equilibrium(
     Returns the flag together with the maximum improvement any deviation
     achieves (floored at zero).
     """
-    if tol <= 0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
-    if mode not in ("weak", "strict"):
-        raise InvalidParameterError(f"mode must be 'weak' or 'strict', got {mode!r}")
+    _check_solve_args(mode, tol)
     sigmas = _sigmas(game, profile)
     _, max_regret, strict = _regret_and_strict(
-        sigmas, _deviation_payoffs(game, sigmas), tol
+        sigmas, _deviation_payoffs(game.payoff_tensor, sigmas), tol
     )
     ok = max_regret <= tol and (mode == "weak" or strict)
     return EquilibriumCheck(ok=ok, max_regret=max_regret)
@@ -304,7 +326,7 @@ def _make_result(
     """Package a profile that passed the weak check."""
     sigmas = _sigmas(game, profile)
     eu, max_regret, strict = _regret_and_strict(
-        sigmas, _deviation_payoffs(game, sigmas), tol
+        sigmas, _deviation_payoffs(game.payoff_tensor, sigmas), tol
     )
     return EquilibriumResult(
         profile=profile,
@@ -374,9 +396,9 @@ def enumerate_pure_equilibria(
 ) -> list[EquilibriumResult]:
     """Exhaustively test every pure profile, in lexicographic profile order.
     Each result carries its strict status from the same regret pass."""
-    if mode not in ("weak", "strict"):
-        raise InvalidParameterError(f"mode must be 'weak' or 'strict', got {mode!r}")
+    _check_solve_args(mode, tol)
     _check_budget(game.profile_count, budget, "enumerate_pure_equilibria")
+    counts = game.strategy_counts
     regret, weak, strict = _pure_regret_arrays(game, tol)
     mask = weak if mode == "weak" else strict
     # One immutable point mass per (player, strategy), shared by the results.
@@ -384,9 +406,7 @@ def enumerate_pure_equilibria(
 
     def pure_strategy(i: int, k: int) -> MixedStrategy:
         if (i, k) not in point_mass:
-            v = np.zeros(game.strategy_counts[i])
-            v[k] = 1.0
-            point_mass[(i, k)] = MixedStrategy(v)
+            point_mass[(i, k)] = MixedStrategy(_embed(counts[i], (k,), 1.0))
         return point_mass[(i, k)]
 
     results = []
@@ -554,6 +574,7 @@ def _two_player_mixed_candidates(
     """
     a = game.payoff_tensor[..., 0]
     b = game.payoff_tensor[..., 1]
+    m0, m1 = game.strategy_counts
     # Supports come in increasing size, so each group holds one size.
     groups0 = [list(g) for _, g in itertools.groupby(supports0, len)]
     groups1 = [list(g) for _, g in itertools.groupby(supports1, len)]
@@ -579,18 +600,16 @@ def _two_player_mixed_candidates(
                     if x is None:
                         continue
                     t0, t1 = group0[i0[k]], group1[i1[k]]
-                    full_x = np.zeros(game.strategy_counts[0])
-                    full_x[list(t0)] = x
-                    full_y = np.zeros(game.strategy_counts[1])
-                    full_y[list(t1)] = y
-                    found[(t0, t1)] = ([full_x, full_y], degen_y or degen_x)
+                    vectors = [_embed(m0, t0, x), _embed(m1, t1, y)]
+                    found[(t0, t1)] = (vectors, degen_y or degen_x)
     return found
 
 
 def _n_player_candidates(
     game: Game, supports: tuple[tuple[int, ...], ...]
 ) -> list[tuple[list[np.ndarray], bool]]:
-    """Candidates on a support combination for three or more players.
+    """Candidates on a support combination for three or more players, in
+    which some support has two or more strategies.
 
     The indifference system is multilinear, so it is solved numerically
     (starting from the uniform point); the uniform point itself is also kept
@@ -607,33 +626,15 @@ def _n_player_candidates(
             offset += size
         return probs
 
-    def restricted_dev(probs: list[np.ndarray], i: int) -> np.ndarray:
-        arr = np.moveaxis(sub[..., i], i, 0)
-        for j in reversed([j for j in range(game.n) if j != i]):
-            arr = np.tensordot(arr, probs[j], axes=([-1], [0]))
-        return arr
-
     def system(z: np.ndarray) -> np.ndarray:
         probs = unpack(z)
         eqs = []
-        for i in range(game.n):
-            dev = restricted_dev(probs, i)
+        for i, dev in enumerate(_deviation_payoffs(sub, probs)):
             eqs.extend(dev[1:] - dev[0])
             eqs.append(probs[i].sum() - 1.0)
         return np.array(eqs)
 
-    def full_vectors(probs: list[np.ndarray]) -> list[np.ndarray]:
-        full = []
-        for i, t in enumerate(supports):
-            v = np.zeros(game.strategy_counts[i])
-            v[list(t)] = probs[i]
-            full.append(v)
-        return full
-
     uniform = np.concatenate([np.full(size, 1.0 / size) for size in sizes])
-    if all(size == 1 for size in sizes):
-        return [(full_vectors(unpack(uniform)), False)]
-
     sol = optimize.root(system, uniform, method="hybr")
     z = None
     if sol.success and float(np.abs(system(sol.x)).max()) <= 1e-8:
@@ -656,7 +657,8 @@ def _n_player_candidates(
         bump[j] = h
         jac[:, j] = (system(z + bump) - system(z - bump)) / (2 * h)
     degenerate = bool(np.linalg.matrix_rank(jac) < z.size)
-    return [(full_vectors(probs), degenerate)]
+    counts = game.strategy_counts
+    return [([_embed(m, t, p) for m, t, p in zip(counts, supports, probs)], degenerate)]
 
 
 def support_enumeration(
@@ -679,10 +681,9 @@ def support_enumeration(
     is still validated in combination order, so the first of a cluster of
     near-duplicates is the one kept.
     """
+    _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts
-    caps = [min(m, max_support if max_support else m) for m in counts]
-    if any(c < 1 for c in caps):
-        raise InvalidParameterError("max_support must be at least 1")
+    caps = [m if max_support is None else min(m, max_support) for m in counts]
     total = 1
     for m, cap in zip(counts, caps):
         total *= _support_count(m, cap)
@@ -698,12 +699,7 @@ def support_enumeration(
         if all(size == 1 for size in sizes):
             cell = tuple(t[0] for t in combo)
             if weak_mask[cell]:
-                vecs = []
-                for i, k in enumerate(cell):
-                    v = np.zeros(counts[i])
-                    v[k] = 1.0
-                    vecs.append(v)
-                return [(vecs, False)]
+                return [([_embed(m, (k,), 1.0) for m, k in zip(counts, cell)], False)]
             return []
         if game.n == 2:
             return [two_player[combo]] if combo in two_player else []
@@ -750,7 +746,7 @@ def replicator_refine(
         raise InvalidParameterError(f"step_size must be in (0, 1], got {step_size}")
     sigmas = [s.copy() for s in _sigmas(game, start)]
     for _ in range(steps):
-        dev = _deviation_payoffs(game, sigmas)
+        dev = _deviation_payoffs(game.payoff_tensor, sigmas)
         for i in range(game.n):
             fitness = dev[i] - dev[i].min() + 1.0
             mean = float(sigmas[i] @ fitness)

@@ -153,6 +153,50 @@ def test_family_strict_mode_keeps_only_strict_equilibria(spec_dir):
     assert by_k[2]["equilibrium_count"] == json.loads(out)["equilibrium_count"]
 
 
+def test_strict_runs_label_every_result_strict(spec_dir):
+    code, out, _ = _run("solve", str(spec_dir / "matching_pennies.spec"),
+                        "--mode", "strict", "--format", "json")
+    assert code == 0
+    results = json.loads(out)["equilibria"]
+    code, out, _ = _run("family", str(spec_dir / "pd.spec"), "--mode", "strict",
+                        "--format", "json")
+    assert code == 0
+    results += [e for entry in json.loads(out)["per_k"] for e in entry["equilibria"]]
+    assert any(len(support) > 1 for e in results for support in e["support"])
+    assert all(e["mode"] == "strict" and e["strict"] for e in results)
+
+
+@pytest.mark.parametrize("spec", ["dinner", "matching_pennies"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "--tol", "-1"),
+        ("solve", "--tol", "0"),
+        ("solve", "--tol", "nan"),
+        ("solve", "--max-support", "0"),
+        ("solve", "--budget", "-5"),
+        ("family", "--tol", "0"),
+        ("family", "--max-support", "0", "--budget", "10"),
+        ("family", "--budget", "-5"),
+        ("validate", "--budget", "-5"),
+    ],
+    ids=" ".join,
+)
+def test_invalid_solve_options_exit_two(spec_dir, spec, argv):
+    command, *flags = argv
+    code, out, err = _run(command, str(spec_dir / f"{spec}.spec"), *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_budget_comes_only_from_the_flag(spec_dir, monkeypatch):
+    monkeypatch.setenv("COALGAME_BUDGET", "10")
+    code, out, _ = _run("solve", str(spec_dir / "pd.spec"), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["tol"] == cg.DEFAULT_TOL
+
+
 def test_family_report_for_pd(spec_dir):
     code, out, _ = _run("family", str(spec_dir / "pd.spec"), "--format", "json")
     assert code == 0

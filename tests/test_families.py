@@ -189,3 +189,21 @@ def test_solver_strict_flag_matches_strict_recheck(name):
 
 def _flat(result):
     return np.concatenate(result.profile.vectors()).tolist()
+
+
+def test_results_list_partitions_in_family_order():
+    def in_family_order(game, partitions):
+        order = [game.family.index_of(p) for p in partitions]
+        return order == sorted(order)
+
+    spread = 0
+    for name in cg.BUNDLED_SPECS:
+        family = cg.build_family(cg.bundled_spec(name))
+        for entry in cg.equilibria_across_k(family).per_k:
+            game = family[entry.K]
+            assert in_family_order(game, entry.partitions)
+            for result in entry.equilibria:
+                assert in_family_order(game, result.partition_distribution)
+                spread += len(result.partition_distribution) > 1
+            assert in_family_order(game, cg.check_mechanism_axioms(game).domain_sizes)
+    assert spread > 0

@@ -157,6 +157,57 @@ def test_payoffs_always_finite(dinner, pd2, pd_ext):
         assert np.all(np.isfinite(game.payoff_tensor))
 
 
+def _reference_payoff_tensor(game):
+    """The per-profile payoff loop: realize every profile with the rule,
+    look up its (partition key, action ids) row, and add the bonus when the
+    designated partition is realized."""
+    out = np.empty(game.strategy_counts + (game.n,), dtype=np.float64)
+    for indices, profile in game.iter_profiles():
+        realized = game.rule.realize(profile)
+        actions = tuple(choice.action.id for choice in profile)
+        vec = np.asarray(game.payoffs.lookup(realized.key, actions), dtype=np.float64)
+        if game.epsilon is not None and realized == game.epsilon.partition:
+            vec = vec + np.asarray(game.epsilon.per_player)
+        out[indices] = vec
+    return out
+
+
+def _assert_matches_reference(game):
+    expected = _reference_payoff_tensor(game)
+    assert game.payoff_tensor.dtype == expected.dtype
+    assert np.array_equal(game.payoff_tensor, expected), game.name
+
+
+def test_payoff_tensor_matches_the_per_profile_loop_on_bundled_specs():
+    for name in cg.BUNDLED_SPECS:
+        spec = cg.bundled_spec(name)
+        for K in range(1, spec.n + 1):
+            _assert_matches_reference(cg.build_game(spec, K))
+
+
+def test_payoff_tensor_matches_the_per_profile_loop_with_epsilon_overridden():
+    spec = cg.bundled_spec("pd_extrovert")
+    for bonus in (0.25, (1.5, -0.5), 0.0):
+        for K in (1, 2):
+            _assert_matches_reference(cg.build_game(spec, K, epsilon_bonus=bonus))
+
+
+def test_payoff_tensor_matches_the_per_profile_loop_on_escaping_profiles():
+    game = cg.make_game(
+        ["x", "y", "z"],
+        K=2,
+        rule=_EscapingRule(),
+        action_labels=("go", "stay"),
+        exact_payoffs={("0,1|2", ("go", "go", "stay")): [4, 4, 1]},
+        partition_payoffs={"0|1|2": [1, 2, 3]},
+        default_payoff=[3, -2, 0.5],
+    )
+    escaped = game.realized_index < 0
+    assert 0 < escaped.sum() < escaped.size
+    _assert_matches_reference(game)
+    assert np.all(game.payoff_tensor[escaped] == (3, -2, 0.5))
+
+
 # --- induced domains and axioms --------------------------------------------
 
 def test_pd_induced_domains(pd2):
