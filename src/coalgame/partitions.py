@@ -105,7 +105,7 @@ class Partition:
     def singletons(n: int) -> "Partition":
         return Partition(tuple(Coalition((i,)) for i in range(n)), n)
 
-    @property
+    @cached_property
     def key(self) -> str:
         """Canonical text form, e.g. ``"0,1|2|3"``."""
         return "|".join(str(block) for block in self.blocks)

@@ -1,12 +1,13 @@
-"""Equilibrium computation: expected utilities, pure-profile enumeration,
-support enumeration for mixed equilibria, and a replicator refiner.
+"""Equilibrium computation: expected utilities, pure-profile enumeration
+and support enumeration for mixed equilibria.
 
 Best responses are checked against pure deviations only, which suffices in
 finite games: a mixed deviation is a convex combination of pure ones, so its
 expected utility never exceeds the best pure deviation. Pure equilibria are
 read off ``_pure_regret_arrays``, which holds every pure profile's gain from
-each unilateral pure deviation; every candidate of the mixed support search
-is validated with ``is_equilibrium`` before it is reported. The reported
+each unilateral pure deviation. The support search covers only the support
+combinations in which some player mixes; each of its candidates is validated
+with ``is_equilibrium`` before it is reported. The reported
 ``max_regret`` is the largest improvement any pure deviation achieves
 (floored at zero).
 
@@ -668,18 +669,19 @@ def support_enumeration(
     *,
     budget: int | None = None,
 ) -> list[EquilibriumResult]:
-    """Search all support combinations up to ``max_support`` per player.
+    """Search the support combinations up to ``max_support`` per player in
+    which some support has two or more strategies; pure profiles are left to
+    ``enumerate_pure_equilibria``. The budget counts every combination.
 
     On each combination the indifference system (equal expected utility
     across in-support strategies, probabilities nonnegative and summing to
     one) is solved; solutions are validated with ``is_equilibrium`` and then
-    deduplicated within per-coordinate distance 1e-6. Singular systems are
-    sampled rather than skipped: the sample is reported with
-    ``degenerate=True`` to mark a continuum of equilibria on that support.
-    Pure-support combinations reuse the exhaustive pure-profile check. Two
-    players' systems are solved in stacks by support size; every candidate
-    is still validated in combination order, so the first of a cluster of
-    near-duplicates is the one kept.
+    deduplicated within per-coordinate distance 1e-6. A solution may still
+    be pure once clipped. Singular systems are sampled rather than skipped:
+    the sample is reported with ``degenerate=True`` to mark a continuum of
+    equilibria on that support. Two players' systems are solved in stacks by
+    support size; every candidate is still validated in combination order,
+    so the first of a cluster of near-duplicates is the one kept.
     """
     _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts
@@ -689,24 +691,19 @@ def support_enumeration(
         total *= _support_count(m, cap)
     _check_budget(total, budget, "support_enumeration")
 
-    _, weak_mask, _ = _pure_regret_arrays(game, tol)
     supports = [list(_support_iter(m, cap)) for m, cap in zip(counts, caps)]
     if game.n == 2:
         two_player = _two_player_mixed_candidates(game, *supports)
 
     def candidates_for(combo: tuple[tuple[int, ...], ...]):
-        sizes = [len(t) for t in combo]
-        if all(size == 1 for size in sizes):
-            cell = tuple(t[0] for t in combo)
-            if weak_mask[cell]:
-                return [([_embed(m, (k,), 1.0) for m, k in zip(counts, cell)], False)]
-            return []
         if game.n == 2:
             return [two_player[combo]] if combo in two_player else []
         return _n_player_candidates(game, combo)
 
     accepted: list[tuple[MixedProfile, bool]] = []
     for combo in itertools.product(*supports):
+        if all(len(t) == 1 for t in combo):
+            continue
         for vectors, degenerate in candidates_for(combo):
             try:
                 profile = MixedProfile.from_vectors(vectors)
@@ -719,40 +716,3 @@ def support_enumeration(
         for i in _distinct([profile for profile, _ in accepted])
     ]
 
-
-class RefineResult(NamedTuple):
-    profile: MixedProfile
-    max_regret: float
-
-
-def replicator_refine(
-    game: Game,
-    start: MixedProfile,
-    steps: int,
-    step_size: float = 1.0,
-    tol: float = DEFAULT_TOL,
-) -> RefineResult:
-    """Multi-population discrete replicator updates from ``start``.
-
-    Each step rescales every in-support probability by its strategy's
-    expected payoff against the current opponent mixtures (payoffs shifted to
-    be strictly positive per player first), blended with weight
-    ``step_size``. No convergence guarantee: validate the output with
-    ``is_equilibrium`` before treating it as an equilibrium.
-    """
-    if steps < 1:
-        raise InvalidParameterError(f"steps must be >= 1, got {steps}")
-    if not 0 < step_size <= 1:
-        raise InvalidParameterError(f"step_size must be in (0, 1], got {step_size}")
-    sigmas = [s.copy() for s in _sigmas(game, start)]
-    for _ in range(steps):
-        dev = _deviation_payoffs(game.payoff_tensor, sigmas)
-        for i in range(game.n):
-            fitness = dev[i] - dev[i].min() + 1.0
-            mean = float(sigmas[i] @ fitness)
-            updated = sigmas[i] * fitness / mean
-            sigmas[i] = (1.0 - step_size) * sigmas[i] + step_size * updated
-            sigmas[i] /= sigmas[i].sum()
-    profile = MixedProfile.from_vectors(sigmas)
-    check = is_equilibrium(game, profile, "weak", tol)
-    return RefineResult(profile=profile, max_regret=check.max_regret)

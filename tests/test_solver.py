@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coalgame as cg
 from coalgame import solver
+from coalgame.families import SolveOptions, _solve_game
 from coalgame.solver import DEDUP_TOL, _distinct
 
 from conftest import find_strategy, pure_profile
@@ -210,13 +212,12 @@ def test_support_enumeration_results_all_validate(pd2, pennies):
 
 
 def test_pure_equilibria_are_found_at_support_size_one(pd2, pennies, dinner):
+    options = SolveOptions(max_support=1, budget=20000)
     for game in (pd2, pennies, dinner):
         pure = {r.support for r in cg.enumerate_pure_equilibria(game)}
-        singles = {
-            r.support
-            for r in cg.support_enumeration(game, max_support=1, budget=20000)
-        }
+        singles = {r.support for r in _solve_game(game, options)[0]}
         assert pure == singles
+        assert cg.support_enumeration(game, max_support=1, budget=20000) == []
 
 
 def test_high_action_mixtures_form_an_equilibrium_family(pd2):
@@ -247,9 +248,10 @@ def test_dinner_two_table_mixtures_validate(dinner):
         assert check.ok and check.max_regret <= 1e-9
 
 
-def test_three_player_mixed_support_search():
-    # two coordination actions per player, only unanimous profiles pay
-    game = cg.make_game(
+def _coordination_game():
+    """Three players with two coordination actions each; only unanimous
+    profiles pay."""
+    return cg.make_game(
         ["a", "b", "c"],
         K=1,
         action_labels=("left", "right"),
@@ -258,10 +260,15 @@ def test_three_player_mixed_support_search():
             ("0|1|2", ("right", "right", "right")): [1, 1, 1],
         },
     )
-    results = cg.support_enumeration(game)
-    supports = {r.support for r in results}
+
+
+def test_three_player_mixed_support_search():
+    game = _coordination_game()
+    supports = {r.support for r in _solve_game(game, SolveOptions())[0]}
     assert ((0,), (0,), (0,)) in supports
     assert ((1,), (1,), (1,)) in supports
+    results = cg.support_enumeration(game)
+    assert results
     for r in results:
         assert cg.is_equilibrium(game, r.profile).ok
 
@@ -319,10 +326,14 @@ _small_int_games = st.integers(2, 4).flatmap(
 )
 
 
-def _per_pair_support_enumeration(game, max_support=None, tol=cg.DEFAULT_TOL):
+def _per_pair_support_enumeration(
+    game, max_support=None, tol=cg.DEFAULT_TOL, pure=False
+):
     """Reference: one pair of ``np.ix_`` systems and two scalar
     ``_solve_indifference`` calls per support pair, validated and
-    deduplicated as ``support_enumeration`` does."""
+    deduplicated as ``support_enumeration`` does. Pairs of two singletons
+    are skipped unless ``pure``; with it, each weak pure profile is also a
+    candidate of its pair."""
     counts = game.strategy_counts
     a, b = game.payoff_tensor[..., 0], game.payoff_tensor[..., 1]
     _, weak, _ = solver._pure_regret_arrays(game, tol)
@@ -331,7 +342,7 @@ def _per_pair_support_enumeration(game, max_support=None, tol=cg.DEFAULT_TOL):
     for t0, t1 in itertools.product(*(list(s) for s in supports)):
         vectors = [np.zeros(counts[0]), np.zeros(counts[1])]
         if len(t0) == len(t1) == 1:
-            if not weak[t0[0], t1[0]]:
+            if not (pure and weak[t0[0], t1[0]]):
                 continue
             vectors[0][t0[0]] = vectors[1][t1[0]] = 1.0
             degenerate = False
@@ -399,6 +410,112 @@ def test_stacked_solves_match_the_reference_one_matrix_per_stack(
         _assert_same_results(game)
 
 
+def _solve_with_pure_candidates(game, options):
+    """Reference solve path: the pure enumeration followed by a support
+    search that also turns each weak pure profile into a candidate, merged
+    by one ``_distinct``, then the strict filter and label of
+    ``_solve_game``."""
+    results = cg.enumerate_pure_equilibria(game, options.mode, options.tol)
+    results += _per_pair_support_enumeration(
+        game, options.max_support, options.tol, pure=True
+    )
+    results = [results[i] for i in _distinct([r.profile for r in results])]
+    if options.mode == "strict":
+        results = [replace(r, mode="strict") for r in results if r.strict]
+    return results
+
+
+def _assert_solve_matches_the_pure_candidate_reference(game):
+    for mode, max_support in itertools.product(("weak", "strict"), (None, 1, 2)):
+        options = SolveOptions(mode=mode, max_support=max_support)
+        got, notes = _solve_game(game, options)
+        expected = _solve_with_pure_candidates(game, options)
+        assert notes == []
+        assert len(got) == len(expected)
+        for r, e in zip(got, expected):
+            assert all(
+                np.array_equal(v, w)
+                for v, w in zip(r.profile.vectors(), e.profile.vectors())
+            )
+            assert np.array_equal(r.payoffs, e.payoffs)
+            assert (r.support, r.degenerate, r.strict, r.mode, r.max_regret) == (
+                e.support, e.degenerate, e.strict, e.mode, e.max_regret
+            )
+
+
+def test_solve_matches_the_pure_candidate_reference(pd1, pd2, pd_ext, pennies):
+    for game in (pd1, pd2, pd_ext, pennies):
+        _assert_solve_matches_the_pure_candidate_reference(game)
+    for m in range(2, 6):
+        for seed in range(3):
+            _assert_solve_matches_the_pure_candidate_reference(_generic_game(m, seed))
+
+
+@_hypothesis_settings
+@given(_small_int_games)
+def test_solve_matches_the_pure_candidate_reference_on_tied_payoffs(game):
+    _assert_solve_matches_the_pure_candidate_reference(game)
+
+
+# --- each pure profile settled once -----------------------------------------
+
+def _record_calls(monkeypatch, name):
+    """Replace ``solver.<name>`` with a wrapper that records each call's
+    positional arguments and result."""
+    calls = []
+    original = getattr(solver, name)
+
+    def recorded(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls.append((args, out))
+        return out
+
+    monkeypatch.setattr(solver, name, recorded)
+    return calls
+
+
+def test_one_pure_regret_pass_per_solve(monkeypatch, pd2, pd_ext, pennies, dinner):
+    calls = _record_calls(monkeypatch, "_pure_regret_arrays")
+    cases = [
+        (game, SolveOptions(mode=mode))
+        for game in (pd2, pd_ext, pennies)
+        for mode in ("weak", "strict")
+    ]
+    cases += [
+        (_coordination_game(), SolveOptions()),
+        (dinner, SolveOptions(max_support=1, budget=20000)),
+    ]
+    for game, options in cases:
+        calls.clear()
+        _, notes = _solve_game(game, options)
+        assert notes == []
+        assert len(calls) == 1
+
+
+def test_no_validation_at_support_size_one(monkeypatch, pd2, pd_ext, dinner):
+    calls = _record_calls(monkeypatch, "is_equilibrium")
+    options = SolveOptions(max_support=1, budget=20000)
+    for game in (pd2, pd_ext, _coordination_game(), dinner):
+        results, notes = _solve_game(game, options)
+        assert results and notes == []
+    assert len(calls) == 0
+
+
+def test_n_player_search_tries_only_mixed_combinations(monkeypatch):
+    game = _coordination_game()
+    tried = _record_calls(monkeypatch, "_n_player_candidates")
+    validated = _record_calls(monkeypatch, "is_equilibrium")
+    results, _ = _solve_game(game, SolveOptions())
+    combos = [args[1] for args, _ in tried]
+    supports = list(solver._support_iter(2, 2))
+    assert combos == [
+        c for c in itertools.product(supports, repeat=3) if max(map(len, c)) > 1
+    ]
+    # Every validation is of a candidate from a mixed combination.
+    assert len(validated) == sum(len(out) for _, out in tried)
+    assert {((0,), (0,), (0,)), ((1,), (1,), (1,))} <= {r.support for r in results}
+
+
 def _screened_rectangular_systems(game):
     """(matrix, rejected) for every rectangular indifference system."""
     a, b = game.payoff_tensor[..., 0], game.payoff_tensor[..., 1]
@@ -440,58 +557,13 @@ def test_screen_rejects_inconsistent_generic_systems():
 
 
 def test_result_flags_are_python_bools(pennies, pd2, pd_ext):
-    coordination = cg.make_game(
-        ["a", "b", "c"],
-        K=1,
-        action_labels=("left", "right"),
-        exact_payoffs={
-            ("0|1|2", ("left", "left", "left")): [1, 1, 1],
-            ("0|1|2", ("right", "right", "right")): [1, 1, 1],
-        },
-    )
-    for game in (pennies, pd2, pd_ext, coordination):
+    for game in (pennies, pd2, pd_ext, _coordination_game()):
         results = cg.support_enumeration(game)
         # pennies and the three-player game have mixed results, whose flags
         # come from the rank tests of the indifference solvers.
         assert results
         for r in results:
             assert type(r.degenerate) is bool and type(r.strict) is bool
-
-
-# --- replicator refinement --------------------------------------------------
-
-def test_replicator_fixed_at_equilibrium(pd2):
-    start = cg.MixedProfile.from_profile(
-        pd2, pure_profile(pd2, ("0,1", "H"), ("0,1", "H"))
-    )
-    out = cg.replicator_refine(pd2, start, steps=250, step_size=1.0)
-    assert out.max_regret <= 1e-9
-    for v, w in zip(out.profile.vectors(), start.vectors()):
-        assert np.allclose(v, w, atol=1e-12)
-
-
-def test_replicator_converges_to_dominant_actions(pd1):
-    out = cg.replicator_refine(
-        pd1, cg.MixedProfile.uniform(pd1), steps=400, step_size=0.5
-    )
-    assert out.max_regret <= 1e-6
-    h = find_strategy(pd1, 0, "0|1", "H")
-    for v in out.profile.vectors():
-        assert v[h] > 0.999
-
-
-def test_replicator_single_strategy_game_unchanged():
-    game = cg.make_game(["a", "b"], K=1, partition_payoffs={"0|1": [1, 2]})
-    out = cg.replicator_refine(game, cg.MixedProfile.uniform(game), steps=10)
-    assert out.profile.vectors()[0].tolist() == [1.0]
-    assert out.max_regret == 0.0
-
-
-def test_replicator_validates_arguments(pd1):
-    with pytest.raises(cg.InvalidParameterError):
-        cg.replicator_refine(pd1, cg.MixedProfile.uniform(pd1), steps=0)
-    with pytest.raises(cg.InvalidParameterError):
-        cg.replicator_refine(pd1, cg.MixedProfile.uniform(pd1), steps=5, step_size=2.0)
 
 
 # --- partition pushforward --------------------------------------------------
