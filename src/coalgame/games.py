@@ -2,22 +2,23 @@
 mechanism-axiom checker.
 
 A strategy is a (desired partition, local action) pair. A formation rule is a
-total deterministic map from announced-strategy profiles to one realized
-partition; payoffs are looked up per (realized partition, action profile)
-with an explicit default vector for unlisted combinations, plus an optional
+total deterministic map from announced partitions to one realized partition;
+payoffs are looked up per (realized partition, action profile) with an
+explicit default vector for unlisted combinations, plus an optional
 per-player bonus paid when a designated partition is realized.
 
 ``Game`` is immutable after construction; the derived arrays (realized
-partition index per profile, payoff tensor) are computed lazily once and
-shared by the solver.
+partition index per profile, payoff tensor) are computed lazily once, as
+``np.ix_`` expansions of a cell grid over each player's distinct (rule key,
+action id) pairs, and shared by the solver.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -72,36 +73,25 @@ class StrategyProfile:
         return "(" + ", ".join(str(c) for c in self.choices) + ")"
 
 
-@lru_cache(maxsize=65536)
-def _form_by_mutual_consent(own_blocks: tuple[tuple[int, ...], ...]) -> Partition:
-    """Realized partition when a multi-player block forms iff all its members
-    announced exactly it; everyone else ends up a singleton."""
-    n = len(own_blocks)
-    formed: list[tuple[int, ...]] = []
-    placed = [False] * n
-    for i, block in enumerate(own_blocks):
-        if placed[i] or len(block) < 2:
-            continue
-        if all(own_blocks[j] == block for j in block):
-            formed.append(block)
-            for j in block:
-                placed[j] = True
-    blocks = formed + [(i,) for i in range(n) if not placed[i]]
-    blocks.sort(key=lambda b: b[0])
-    return Partition(tuple(Coalition(b) for b in blocks), n)
-
-
 class FormationRule:
-    """Total deterministic map from a strategy profile to a realized partition.
+    """Total deterministic map from announced partitions to a realized partition.
 
-    Implementations must be pure functions of the profile so results can be
-    cached and shared across threads.
-    """
+    ``key(announced, player)`` is the part of one announcement the rule reads
+    (the whole partition by default); ``form(keys)`` is the realized partition
+    given one key per player. Both must be pure: ``Game`` calls ``form`` once
+    per distinct key combination. A custom rule implements ``form`` (and
+    ``key`` if it reads less than the whole partition)."""
 
     kind: str = "abstract"
 
-    def realize(self, profile: StrategyProfile) -> Partition:
+    def key(self, announced: Partition, player: int) -> Hashable:
+        return announced
+
+    def form(self, keys: Sequence[Hashable]) -> Partition:
         raise NotImplementedError
+
+    def realize(self, profile: StrategyProfile) -> Partition:
+        return self.form(tuple(self.key(c.desired, i) for i, c in enumerate(profile)))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
@@ -113,11 +103,15 @@ class CoalitionUnanimity(FormationRule):
 
     kind = "coalition_unanimity"
 
-    def realize(self, profile: StrategyProfile) -> Partition:
-        own = tuple(
-            choice.desired.block_of(i).members for i, choice in enumerate(profile)
-        )
-        return _form_by_mutual_consent(own)
+    def key(self, announced: Partition, player: int) -> tuple[int, ...]:
+        return announced.block_of(player).members
+
+    def form(self, keys: Sequence[tuple[int, ...]]) -> Partition:
+        blocks = {
+            own if all(keys[j] == own for j in own) else (i,)
+            for i, own in enumerate(keys)
+        }
+        return Partition.from_blocks(blocks, len(keys))
 
 
 class PartitionUnanimity(FormationRule):
@@ -126,11 +120,10 @@ class PartitionUnanimity(FormationRule):
 
     kind = "partition_unanimity"
 
-    def realize(self, profile: StrategyProfile) -> Partition:
-        first = profile.choices[0].desired
-        if all(choice.desired == first for choice in profile):
-            return first
-        return Partition.singletons(profile.n)
+    def form(self, keys: Sequence[Partition]) -> Partition:
+        if all(announced == keys[0] for announced in keys):
+            return keys[0]
+        return Partition.singletons(len(keys))
 
 
 RULES: dict[str, FormationRule] = {
@@ -313,15 +306,42 @@ class Game:
         for indices in itertools.product(*(range(m) for m in self.strategy_counts)):
             yield indices, self.profile_from_indices(indices)
 
+    def _payoff_at(self, realized: Partition, action_ids: tuple[int, ...]) -> np.ndarray:
+        """Table lookup, plus the bonus if the designated partition is realized."""
+        vec = np.array(self.payoffs.lookup(realized.key, action_ids), dtype=np.float64)
+        if self.epsilon is not None and realized == self.epsilon.partition:
+            vec += self.epsilon.per_player
+        return vec
+
+    @cached_property
+    def _cell_grid(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+        """Each player's strategies grouped into cells by (rule key, action id).
+
+        ``rule.form`` runs once per key combination and ``_payoff_at`` once
+        per cell combination. Returns the realized index and the payoff per
+        cell combination, and the ``np.ix_`` index expanding both to profiles.
+        """
+        own = [
+            [(self.rule.key(s.desired, i), s.action.id) for s in strategies]
+            for i, strategies in enumerate(self.strategy_sets)
+        ]
+        cells = [{cell: k for k, cell in enumerate(dict.fromkeys(o))} for o in own]
+        keys = [dict.fromkeys(key for key, _ in c) for c in cells]
+        formed = {combo: self.rule.form(combo) for combo in itertools.product(*keys)}
+        grid = [tuple(zip(*c)) for c in itertools.product(*cells)]
+        lookup = self.family._index
+        realized = np.array([lookup.get(formed[ks], -1) for ks, _ in grid], dtype=np.int32)
+        payoffs = np.array([self._payoff_at(formed[ks], ids) for ks, ids in grid])
+        shape = [len(c) for c in cells]
+        expand = np.ix_(*([c[cell] for cell in o] for c, o in zip(cells, own)))
+        return realized.reshape(shape), payoffs.reshape(shape + [self.n]), expand
+
     @cached_property
     def realized_index(self) -> np.ndarray:
         """Index into ``family`` of the realized partition, per pure profile;
         -1 where the rule leaves the family (only possible for broken rules)."""
-        out = np.empty(self.strategy_counts, dtype=np.int32)
-        lookup = self.family._index
-        for indices, profile in self.iter_profiles():
-            realized = self.rule.realize(profile)
-            out[indices] = lookup.get(realized, -1)
+        realized, _, expand = self._cell_grid
+        out = realized[expand]
         out.flags.writeable = False
         return out
 
@@ -329,33 +349,12 @@ class Game:
     def payoff_tensor(self) -> np.ndarray:
         """Payoff vectors for every pure profile, shape strategy_counts + (n,).
 
-        A profile's payoff depends only on its realized partition and its
-        action ids, so each distinct (``realized_index``, action ids) cell is
-        looked up once and scattered by index. A profile the rule maps
-        outside the family is looked up by the key of the rule's own output.
-        """
-        bonus_at = self.family.index_of(self.epsilon.partition) if self.epsilon else -1
-        realized = self.realized_index.reshape(-1)
-        action_ids = np.meshgrid(
-            *[[s.action.id for s in strategies] for strategies in self.strategy_sets],
-            indexing="ij",
-        )
-        cells = np.stack([realized, *(ids.reshape(-1) for ids in action_ids)], axis=1)
-        rows, inverse = np.unique(cells, axis=0, return_inverse=True)
-        table = np.zeros((len(rows), self.n))
-        for r, (p, *actions) in enumerate(rows.tolist()):
-            if p >= 0:
-                table[r] = self.payoffs.lookup(self.family[p].key, tuple(actions))
-                if p == bonus_at:
-                    table[r] += self.epsilon.per_player
-        out = table[inverse.reshape(-1)]
-        for flat in np.flatnonzero(realized < 0).tolist():
-            profile = self.profile_from_indices(
-                np.unravel_index(flat, self.strategy_counts)
-            )
-            actions = tuple(choice.action.id for choice in profile)
-            out[flat] = self.payoffs.lookup(self.rule.realize(profile).key, actions)
-        out = out.reshape(self.strategy_counts + (self.n,))
+        A payoff depends only on the realized partition and the action ids,
+        and the rule reads only each announcement's key, so strategies in one
+        (key, action id) cell pay alike; this expands the cell grid's payoffs,
+        where a partition outside the family is looked up by its own key."""
+        _, payoffs, expand = self._cell_grid
+        out = payoffs[expand]
         out.flags.writeable = False
         return out
 
@@ -380,9 +379,9 @@ def apply_formation_rule(game: Game, profile: StrategyProfile) -> Partition:
 def payoff(game: Game, profile: StrategyProfile) -> np.ndarray:
     """Payoff vector for one announced profile: table lookup on the realized
     partition and action profile, plus the bonus if the designated partition
-    was realized."""
-    indices = game.indices_of_profile(profile)
-    return game.payoff_tensor[indices].copy()
+    was realized. Builds no tensor, so it serves games too big for one."""
+    actions = tuple(choice.action.id for choice in profile)
+    return game._payoff_at(apply_formation_rule(game, profile), actions)
 
 
 def induced_domain(

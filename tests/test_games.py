@@ -1,8 +1,11 @@
+import itertools
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coalgame as cg
-from coalgame.games import _form_by_mutual_consent
 
 from conftest import find_strategy, pure_profile
 
@@ -96,11 +99,58 @@ def test_partition_unanimity_rule():
     assert cg.apply_formation_rule(game, disagree) == cg.Partition.singletons(3)
 
 
-def test_consent_cache_handles_shared_prefixes():
-    blocks = ((0, 1), (0, 1), (2,), (3,))
-    assert _form_by_mutual_consent(blocks).key == "0,1|2|3"
-    blocks = ((0, 1), (0, 1), (2, 3), (2, 3))
-    assert _form_by_mutual_consent(blocks).key == "0,1|2,3"
+def _form_by_placement(own_blocks):
+    """The consent rule as a placement pass: walk the players in order and
+    form a multi-player block once all its members announced it, marking its
+    members placed; everyone never placed ends up a singleton."""
+    n = len(own_blocks)
+    formed = []
+    placed = [False] * n
+    for i, block in enumerate(own_blocks):
+        if placed[i] or len(block) < 2:
+            continue
+        if all(own_blocks[j] == block for j in block):
+            formed.append(block)
+            for j in block:
+                placed[j] = True
+    blocks = formed + [(i,) for i in range(n) if not placed[i]]
+    blocks.sort(key=lambda b: b[0])
+    return cg.Partition(tuple(cg.Coalition(b) for b in blocks), n)
+
+
+def _own_blocks(n, i):
+    """Every block of ``n`` players that contains player ``i``."""
+    others = [j for j in range(n) if j != i]
+    return [
+        tuple(sorted((i, *rest)))
+        for size in range(n)
+        for rest in itertools.combinations(others, size)
+    ]
+
+
+def test_consent_rule_matches_the_placement_algorithm_exhaustively():
+    rule = cg.CoalitionUnanimity()
+    assert rule.form(((0, 1), (0, 1), (2,), (3,))).key == "0,1|2|3"
+    assert rule.form(((0, 1), (0, 1), (2, 3), (2, 3))).key == "0,1|2,3"
+    combos = 0
+    for n in range(2, 5):
+        for keys in itertools.product(*(_own_blocks(n, i) for i in range(n))):
+            assert rule.form(keys) == _form_by_placement(keys), keys
+            combos += 1
+    assert combos == 4164
+
+
+_own_block_profiles = st.integers(5, 6).flatmap(
+    lambda n: st.tuples(
+        *(st.sampled_from(_own_blocks(n, i)) for i in range(n))
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_own_block_profiles)
+def test_consent_rule_matches_the_placement_algorithm_on_large_tables(keys):
+    assert cg.CoalitionUnanimity().form(keys) == _form_by_placement(keys)
 
 
 # --- payoffs ----------------------------------------------------------------
@@ -157,6 +207,37 @@ def test_payoffs_always_finite(dinner, pd2, pd_ext):
         assert np.all(np.isfinite(game.payoff_tensor))
 
 
+def test_payoff_builds_no_tensor_on_a_seven_player_game():
+    game = cg.make_game(
+        [f"p{i}" for i in range(7)],
+        K=7,
+        partition_payoffs={"0,1,2,3,4,5,6": range(1, 8)},
+    )
+    # Everyone announces the first partition, the grand coalition.
+    vec = cg.payoff(game, game.profile_from_indices((0,) * 7))
+    assert vec.tolist() == [1, 2, 3, 4, 5, 6, 7]
+    assert "_cell_grid" not in vars(game)
+
+
+def test_payoff_matches_the_tensor_entry(dinner, pd1, pd2, pd_ext, pennies):
+    for game in (pd1, pd2, pd_ext, pennies):
+        for indices, profile in game.iter_profiles():
+            assert np.array_equal(cg.payoff(game, profile), game.payoff_tensor[indices])
+    for indices, profile in itertools.islice(dinner.iter_profiles(), 0, None, 97):
+        assert np.array_equal(cg.payoff(dinner, profile), dinner.payoff_tensor[indices])
+
+
+def _reference_realized_index(game):
+    """The per-profile loop: realize every profile with the rule and look
+    its partition up in the family (-1 outside it)."""
+    out = np.empty(game.strategy_counts, dtype=np.int32)
+    lookup = game.family._index
+    for indices, profile in game.iter_profiles():
+        realized = game.rule.realize(profile)
+        out[indices] = lookup.get(realized, -1)
+    return out
+
+
 def _reference_payoff_tensor(game):
     """The per-profile payoff loop: realize every profile with the rule,
     look up its (partition key, action ids) row, and add the bonus when the
@@ -178,6 +259,29 @@ def _assert_matches_reference(game):
     assert np.array_equal(game.payoff_tensor, expected), game.name
 
 
+def _assert_realized_matches_reference(game):
+    expected = _reference_realized_index(game)
+    assert game.realized_index.dtype == np.int32
+    assert np.array_equal(game.realized_index, expected), game.name
+
+
+def _partition_unanimity_game():
+    """Two actions in the grand coalition, one elsewhere, under partition
+    unanimity."""
+    return cg.make_game(
+        ["x", "y", "z"],
+        K=3,
+        rule="partition_unanimity",
+        action_labels={"0,1,2": ("in", "out"), "default": ("solo",)},
+        exact_payoffs={("0,1,2", ("in", "in", "out")): [5, 5, -1]},
+        partition_payoffs={"0,1|2": [2, 2, 0], "0|1|2": [1, 1, 1]},
+        default_payoff=[0, 0.5, 0],
+        epsilon_partition="0,1,2",
+        epsilon_bonus=0.25,
+        name="partition_unanimity_two_actions",
+    )
+
+
 def test_payoff_tensor_matches_the_per_profile_loop_on_bundled_specs():
     for name in cg.BUNDLED_SPECS:
         spec = cg.bundled_spec(name)
@@ -192,8 +296,15 @@ def test_payoff_tensor_matches_the_per_profile_loop_with_epsilon_overridden():
             _assert_matches_reference(cg.build_game(spec, K, epsilon_bonus=bonus))
 
 
-def test_payoff_tensor_matches_the_per_profile_loop_on_escaping_profiles():
-    game = cg.make_game(
+def test_payoff_tensor_matches_the_per_profile_loop_under_partition_unanimity():
+    game = _partition_unanimity_game()
+    assert game.strategy_counts == (6, 6, 6)
+    assert np.all(game.payoff_tensor == (5.25, 5.25, -0.75), axis=-1).sum() == 1
+    _assert_matches_reference(game)
+
+
+def _escaping_game():
+    return cg.make_game(
         ["x", "y", "z"],
         K=2,
         rule=_EscapingRule(),
@@ -202,10 +313,84 @@ def test_payoff_tensor_matches_the_per_profile_loop_on_escaping_profiles():
         partition_payoffs={"0|1|2": [1, 2, 3]},
         default_payoff=[3, -2, 0.5],
     )
+
+
+def test_payoff_tensor_matches_the_per_profile_loop_on_escaping_profiles():
+    game = _escaping_game()
     escaped = game.realized_index < 0
     assert 0 < escaped.sum() < escaped.size
     _assert_matches_reference(game)
     assert np.all(game.payoff_tensor[escaped] == (3, -2, 0.5))
+
+
+def test_realized_index_matches_the_per_profile_loop():
+    for name in cg.BUNDLED_SPECS:
+        spec = cg.bundled_spec(name)
+        for K in range(1, spec.n + 1):
+            _assert_realized_matches_reference(cg.build_game(spec, K))
+    _assert_realized_matches_reference(_escaping_game())
+    _assert_realized_matches_reference(_partition_unanimity_game())
+
+
+_bonus_values = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _small_games(draw):
+    n = draw(st.integers(2, 3))
+    K = draw(st.integers(1, n))
+    keys = [p.key for p in cg.enumerate_partitions(n, K)]
+    labels = {
+        key: draw(st.sampled_from([("a",), ("a", "b"), ("b", "a")])) for key in keys
+    }
+    vectors = st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+    exact = {}
+    for key in keys:
+        for actions in itertools.product(labels[key], repeat=n):
+            if draw(st.booleans()):
+                exact[(key, actions)] = draw(vectors)
+    bonus_at = draw(st.none() | st.sampled_from(keys))
+    return cg.make_game(
+        [f"p{i}" for i in range(n)],
+        K=K,
+        rule=draw(st.sampled_from(["coalition_unanimity", "partition_unanimity"])),
+        action_labels=labels,
+        exact_payoffs=exact,
+        partition_payoffs=draw(st.dictionaries(st.sampled_from(keys), vectors)),
+        default_payoff=draw(vectors),
+        epsilon_partition=bonus_at,
+        epsilon_bonus=draw(st.lists(_bonus_values, min_size=n, max_size=n)),
+    )
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_small_games())
+def test_both_tensors_match_the_per_profile_loops_on_small_games(game):
+    _assert_realized_matches_reference(game)
+    _assert_matches_reference(game)
+
+
+def test_tensors_call_form_once_per_key_combination(monkeypatch):
+    calls = []
+    form = cg.CoalitionUnanimity.form
+
+    def counted(self, keys):
+        calls.append(keys)
+        return form(self, keys)
+
+    monkeypatch.setattr(cg.CoalitionUnanimity, "form", counted)
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import coalition_spec
+
+    dinner = cg.bundled_spec("dinner")
+    coalition = cg.parse_spec(coalition_spec(3, 3, 2, 1612, 1))
+    for spec, K, expected in ((dinner, 2, 256), (dinner, 4, 4096), (coalition, 3, 64)):
+        calls.clear()
+        game = cg.build_game(spec, K)
+        game.realized_index, game.payoff_tensor
+        assert len(calls) == expected
+        assert len(set(calls)) == expected
+    assert game.profile_count == 1000
 
 
 # --- induced domains and axioms --------------------------------------------
@@ -249,11 +434,12 @@ class _EscapingRule(cg.FormationRule):
 
     kind = "broken_for_tests"
 
-    def realize(self, profile):
-        desired = profile.choices[0].desired
-        if all(c.desired == desired for c in profile) and desired.max_block_size == 1:
-            return cg.Partition.from_blocks([range(profile.n)], profile.n)
-        return cg.CoalitionUnanimity().realize(profile)
+    def form(self, keys):
+        n = len(keys)
+        if all(p == keys[0] for p in keys) and keys[0].max_block_size == 1:
+            return cg.Partition.from_blocks([range(n)], n)
+        own = tuple(p.block_of(i).members for i, p in enumerate(keys))
+        return cg.CoalitionUnanimity().form(own)
 
 
 def test_broken_rule_fails_first_axiom():
