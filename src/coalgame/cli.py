@@ -112,7 +112,7 @@ def _read_spec(path: Path):
 
 def _emit(args: argparse.Namespace, report, out) -> None:
     if args.format == "json":
-        print(json.dumps(report.to_dict(), indent=2), file=out)
+        print(json.dumps(report.to_dict()), file=out)
     else:
         print(report.render_text(), file=out)
 

@@ -297,15 +297,20 @@ def _solve_game(
         game, options.mode, options.tol, budget=options.budget
     )
     try:
-        equilibria += support_enumeration(
+        mixed = support_enumeration(
             game, options.max_support, options.tol, budget=options.budget
         )
     except BudgetExceededError as exc:
+        mixed = []
         notes.append(
             f"mixed search skipped: {exc.required} support combinations exceed "
             f"the budget of {exc.budget}"
         )
-    equilibria = [equilibria[i] for i in _distinct([r.profile for r in equilibria])]
+    # Pure results are distinct cells; only a mixed candidate, clipped to an
+    # exactly pure profile, can duplicate one.
+    if mixed:
+        equilibria += mixed
+        equilibria = [equilibria[i] for i in _distinct([r.profile for r in equilibria])]
     if options.mode == "strict":
         equilibria = [replace(r, mode="strict") for r in equilibria if r.strict]
     return equilibria, notes

@@ -107,11 +107,16 @@ class CoalitionUnanimity(FormationRule):
         return announced.block_of(player).members
 
     def form(self, keys: Sequence[tuple[int, ...]]) -> Partition:
-        blocks = {
-            own if all(keys[j] == own for j in own) else (i,)
-            for i, own in enumerate(keys)
-        }
-        return Partition.from_blocks(blocks, len(keys))
+        # Each key is a sorted own block, and a block forms only if all its
+        # members announced it, so the formed blocks are disjoint. Listing
+        # each at its smallest member gives canonical order.
+        blocks = []
+        for i, own in enumerate(keys):
+            if not all(keys[j] == own for j in own):
+                blocks.append(Coalition((i,)))
+            elif own[0] == i:
+                blocks.append(Coalition(own))
+        return Partition(tuple(blocks), len(keys))
 
 
 class PartitionUnanimity(FormationRule):
@@ -340,6 +345,7 @@ class Game:
     def realized_index(self) -> np.ndarray:
         """Index into ``family`` of the realized partition, per pure profile;
         -1 where the rule leaves the family (only possible for broken rules)."""
+        _check_addressable(self.profile_count, np.int32, "realized_index")
         realized, _, expand = self._cell_grid
         out = realized[expand]
         out.flags.writeable = False
@@ -353,6 +359,7 @@ class Game:
         and the rule reads only each announcement's key, so strategies in one
         (key, action id) cell pay alike; this expands the cell grid's payoffs,
         where a partition outside the family is looked up by its own key."""
+        _check_addressable(self.profile_count * self.n, np.float64, "payoff_tensor")
         _, payoffs, expand = self._cell_grid
         out = payoffs[expand]
         out.flags.writeable = False
@@ -407,6 +414,21 @@ def _check_budget(required: int, budget: int | None, what: str) -> None:
             f"{what} needs {required} evaluations, over the budget of "
             f"{limit}; raise the budget to force the exhaustive check",
             required=required,
+            budget=limit,
+        )
+
+
+def _check_addressable(size: int, dtype, what: str) -> None:
+    """Raise ``BudgetExceededError`` before allocating an array of ``size``
+    elements of ``dtype`` that numpy cannot address, whatever the budget
+    allows."""
+    nbytes = size * np.dtype(dtype).itemsize
+    limit = int(np.iinfo(np.intp).max)
+    if nbytes > limit:
+        raise BudgetExceededError(
+            f"{what} needs an array of {nbytes} bytes, more than numpy can "
+            f"address ({limit}); the game is too large for exhaustive enumeration",
+            required=nbytes,
             budget=limit,
         )
 

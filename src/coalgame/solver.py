@@ -19,15 +19,15 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .errors import InternalInconsistencyError, InvalidParameterError
-from .games import Game, StrategyProfile, _check_budget
+from .games import Game, StrategyProfile, _check_addressable, _check_budget
 from .partitions import Partition
 
 DEFAULT_TOL = 1e-9
@@ -41,6 +41,21 @@ DEDUP_TOL = 1e-6
 #: whatever the budget.
 STACK_FLOATS = 1 << 18
 _NORM_TOL = 1e-12
+
+
+def __getattr__(name: str):
+    """Import ``scipy.optimize`` on first access to ``solver.optimize``.
+
+    Only the search on three or more players calls it, so pure, two-player
+    and validate runs never load scipy. The module is bound as a global, so
+    later reads (and anything that replaces it) see one object.
+    """
+    if name == "optimize":
+        from scipy import optimize
+
+        globals()["optimize"] = optimize
+        return optimize
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -373,6 +388,7 @@ def _distinct(profiles: Sequence[MixedProfile]) -> list[int]:
 
 def _pure_regret_arrays(game: Game, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per pure profile: worst-player regret, weak mask, strict mask."""
+    _check_addressable(game.profile_count, np.float64, "enumerate_pure_equilibria")
     counts = game.strategy_counts
     weak = np.ones(counts, dtype=bool)
     strict = np.ones(counts, dtype=bool)
@@ -636,7 +652,8 @@ def _n_player_candidates(
         return np.array(eqs)
 
     uniform = np.concatenate([np.full(size, 1.0 / size) for size in sizes])
-    sol = optimize.root(system, uniform, method="hybr")
+    # Read through the module, so the first call imports scipy.
+    sol = sys.modules[__name__].optimize.root(system, uniform, method="hybr")
     z = None
     if sol.success and float(np.abs(system(sol.x)).max()) <= 1e-8:
         z = sol.x

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import coalgame as cg
+from coalgame import cli
 from coalgame.cli import run_cli
 
 
@@ -16,6 +17,46 @@ def _run(*argv):
     out, err = io.StringIO(), io.StringIO()
     code = run_cli(list(argv), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
+
+
+def _subprocess_env():
+    """The environment with this checkout's package first on the path."""
+    src = str(Path(cg.__file__).resolve().parent.parent)
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+
+
+_PROBE = """\
+import io, json, sys
+from coalgame.cli import run_cli
+out = io.StringIO()
+code = run_cli(sys.argv[1:], out=out, err=io.StringIO())
+print(json.dumps({"code": code, "scipy": "scipy" in sys.modules, "out": out.getvalue()}))
+"""
+
+
+def _probe(*argv):
+    """Run one command in a fresh interpreter; its exit code, whether it
+    loaded scipy, and its output."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROBE, *argv],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _write_spec(path, players, K, payoffs, actions=("act",)):
+    path.write_text(json.dumps({
+        "name": path.stem,
+        "players": players,
+        "K": K,
+        "rule": "coalition_unanimity",
+        "actions": list(actions),
+        "payoffs": payoffs,
+        "default_payoff": [0] * len(players),
+    }), encoding="utf-8")
+    return path
 
 
 @pytest.fixture(scope="module")
@@ -36,12 +77,9 @@ def test_partitions_lists_and_counts():
 
 
 def test_module_entry_point_runs_the_cli():
-    src = str(Path(cg.__file__).resolve().parent.parent)
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "coalgame.cli", "partitions", "4", "2"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
     )
     lines = proc.stdout.splitlines()
     assert proc.returncode == 0
@@ -221,6 +259,23 @@ def test_budget_exhaustion_exits_three(spec_dir):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_unaddressable_game_exits_three_without_a_traceback(tmp_path, command):
+    spec = _write_spec(
+        tmp_path / "seven.spec", [f"p{i}" for i in range(7)], 7,
+        [{"partition": "0,1,2,3,4,5,6", "payoff": list(range(1, 8))}],
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "coalgame.cli", command, str(spec),
+         "--budget", str(10**24)],
+        capture_output=True, text=True, env=_subprocess_env(), timeout=120,
+    )
+    assert proc.returncode == 3
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert "more than numpy can address" in proc.stderr
+
+
 def test_bad_spec_file_exits_two(tmp_path):
     bad = tmp_path / "bad.spec"
     bad.write_text("{ nope", encoding="utf-8")
@@ -234,3 +289,65 @@ def test_bad_spec_file_exits_two(tmp_path):
 def test_missing_subcommand_exits_two():
     code, _, _ = _run()
     assert code == 2
+
+
+# --- what each command loads and writes --------------------------------------
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("solve", "pd.spec"),
+        ("solve", "matching_pennies.spec"),
+        ("family", "dinner.spec", "--k-min", "1", "--k-max", "2"),
+        ("validate", "dinner.spec"),
+    ],
+    ids=" ".join,
+)
+def test_commands_without_an_n_player_search_never_load_scipy(spec_dir, argv):
+    command, spec, *flags = argv
+    probe = _probe(command, str(spec_dir / spec), *flags, "--format", "json")
+    assert probe["code"] == 0
+    assert json.loads(probe["out"])
+    assert probe["scipy"] is False
+
+
+def test_three_player_mixed_solve_loads_scipy_and_finds_the_same_results(tmp_path):
+    # Three-player matching pennies: its only equilibrium is uniform mixing.
+    payoffs = [
+        {
+            "partition": "0|1|2",
+            "actions": ["HT"[x], "HT"[y], "HT"[z]],
+            "payoff": [1 if x == y else -1, 1 if y == z else -1, 1 if z != x else -1],
+        }
+        for x in (0, 1) for y in (0, 1) for z in (0, 1)
+    ]
+    spec = _write_spec(tmp_path / "pennies3.spec", ["a", "b", "c"], 1, payoffs, "HT")
+    probe = _probe("solve", str(spec), "--format", "json")
+    assert probe["code"] == 0
+    assert probe["scipy"] is True
+    code, out, _ = _run("solve", str(spec), "--format", "json")
+    assert code == 0
+    assert probe["out"] == out
+    (equilibrium,) = json.loads(out)["equilibria"]
+    assert equilibrium["support"] == [[0, 1]] * 3
+    assert np.allclose(equilibrium["profile"], 0.5, atol=1e-9)
+
+
+@pytest.mark.parametrize("command", ["solve", "family", "validate"])
+def test_json_output_is_one_compact_line(spec_dir, monkeypatch, command):
+    dumps = json.dumps
+    dumped = []
+
+    def recording(obj, **kwargs):
+        dumped.append(obj)
+        return dumps(obj, **kwargs)
+
+    monkeypatch.setattr(cli.json, "dumps", recording)
+    for name in cg.BUNDLED_SPECS:
+        dumped.clear()
+        code, out, _ = _run(command, str(spec_dir / f"{name}.spec"), "--format", "json")
+        assert code == 0
+        assert out.endswith("\n") and out.count("\n") == 1
+        assert len(dumped) == 1
+        # The same keys and values as the indented dump of the same report.
+        assert json.loads(out) == json.loads(dumps(dumped[0], indent=2))

@@ -219,6 +219,23 @@ def test_payoff_builds_no_tensor_on_a_seven_player_game():
     assert "_cell_grid" not in vars(game)
 
 
+def test_unaddressable_tensors_exceed_the_budget_before_any_allocation():
+    game = cg.make_game(
+        [f"p{i}" for i in range(7)],
+        K=7,
+        partition_payoffs={"0,1,2,3,4,5,6": range(1, 8)},
+    )
+    # 877**7 profiles: more bytes than numpy can address for any tensor.
+    for build in (
+        lambda: game.realized_index,
+        lambda: game.payoff_tensor,
+        lambda: cg.enumerate_pure_equilibria(game, budget=10**24),
+    ):
+        with pytest.raises(cg.BudgetExceededError, match="more than numpy can address"):
+            build()
+    assert "_cell_grid" not in vars(game)
+
+
 def test_payoff_matches_the_tensor_entry(dinner, pd1, pd2, pd_ext, pennies):
     for game in (pd1, pd2, pd_ext, pennies):
         for indices, profile in game.iter_profiles():

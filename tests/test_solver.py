@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coalgame as cg
-from coalgame import solver
+from coalgame import families, solver
 from coalgame.families import SolveOptions, _solve_game
 from coalgame.solver import DEDUP_TOL, _distinct
 
@@ -273,6 +273,54 @@ def test_three_player_mixed_support_search():
         assert cg.is_equilibrium(game, r.profile).ok
 
 
+def _three_player_pennies():
+    """Jordan's three-player matching pennies (GEB 1993): player a wants to
+    match b, b to match c, and c to mismatch a. Its only equilibrium has
+    every player mix half and half."""
+    payoffs = {}
+    for x, y, z in itertools.product((0, 1), repeat=3):
+        labels = tuple("HT"[v] for v in (x, y, z))
+        payoffs[("0|1|2", labels)] = [
+            1 if x == y else -1, 1 if y == z else -1, 1 if z != x else -1
+        ]
+    return cg.make_game(
+        ["a", "b", "c"], K=1, action_labels=("H", "T"), exact_payoffs=payoffs
+    )
+
+
+def test_three_player_pennies_has_only_the_uniform_equilibrium():
+    results, notes = _solve_game(_three_player_pennies(), SolveOptions())
+    assert notes == []
+    assert len(results) == 1
+    (r,) = results
+    for v in r.profile.vectors():
+        assert np.allclose(v, [0.5, 0.5], atol=1e-9)
+    assert np.allclose(r.payoffs, 0.0, atol=1e-9)
+    assert r.support == ((0, 1),) * 3
+    assert r.strict and not r.degenerate
+
+
+def test_root_solves_go_through_the_module_attribute(monkeypatch):
+    """``solver.optimize`` is scipy's module, bound on first access; the
+    search reads it from the module on each call, so a replacement set on the
+    module (as the benchmark's tracer does) sees every root solve."""
+    from scipy import optimize
+
+    assert solver.optimize is optimize
+    calls = []
+
+    class Recorder:
+        def root(self, *args, **kwargs):
+            calls.append(args[1])
+            return optimize.root(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "optimize", Recorder())
+    results, _ = _solve_game(_three_player_pennies(), SolveOptions())
+    assert len(results) == 1
+    # One root solve per mixed support combination: 3^3 minus the 8 pure.
+    assert len(calls) == 19
+
+
 def test_support_enumeration_budget(dinner):
     with pytest.raises(cg.BudgetExceededError):
         cg.support_enumeration(dinner)  # (2^10-1)^4 combinations
@@ -499,6 +547,29 @@ def test_no_validation_at_support_size_one(monkeypatch, pd2, pd_ext, dinner):
         results, notes = _solve_game(game, options)
         assert results and notes == []
     assert len(calls) == 0
+
+
+def test_dedup_runs_only_when_the_mixed_search_found_results(
+    monkeypatch, pd2, pennies, dinner
+):
+    merged = []
+
+    def recorded(profiles):
+        merged.append(len(profiles))
+        return solver._distinct(profiles)
+
+    monkeypatch.setattr(families, "_distinct", recorded)
+    for game, options in (
+        (dinner, SolveOptions(max_support=1, budget=20000)),
+        (pd2, SolveOptions(max_support=1)),
+        (pennies, SolveOptions(max_support=1)),
+    ):
+        results, notes = _solve_game(game, options)
+        assert notes == []
+    assert merged == []
+    results, _ = _solve_game(pennies, SolveOptions())
+    assert len(results) == 1
+    assert merged == [1]
 
 
 def test_n_player_search_tries_only_mixed_combinations(monkeypatch):
