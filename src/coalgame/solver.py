@@ -7,7 +7,10 @@ expected utility never exceeds the best pure deviation. Pure equilibria are
 read off ``_pure_regret_arrays``, which holds every pure profile's gain from
 each unilateral pure deviation. The support search covers only the support
 combinations in which some player mixes; each of its candidates is validated
-with ``is_equilibrium`` before it is reported. The reported
+with ``is_equilibrium`` before it is reported. On three or more players it
+skips each combination with a conditionally dominated in-support strategy,
+and solves the others' indifference systems with MINPACK ``hybrj`` and the
+exact Jacobian, started once from the uniform point. The reported
 ``max_regret`` is the largest improvement any pure deviation achieves
 (floored at zero).
 
@@ -622,59 +625,121 @@ def _two_player_mixed_candidates(
     return found
 
 
+def _conditionally_dominated(
+    game: Game, supports: Sequence[tuple[int, ...]], tol: float
+) -> bool:
+    """Whether some player has an in-support strategy ``a`` and another
+    strategy ``a'`` (in the support or not) that pays more than ``a`` by
+    over ``margin = tol + 1e-6 * max(1, |u|max) * s`` against every profile
+    of the other players' supports. ``|u|max`` is the largest payoff, in
+    absolute value, of that player against those profiles, and ``s`` the
+    number of strategies in all the supports.
+
+    No candidate of ``_n_player_candidates`` on such a combination passes
+    the weak check. The candidate keeps the other players inside their
+    supports, so ``a'`` gains over ``a`` by more than ``margin`` against
+    their mixture too. The indifference system ties ``a`` to the player's
+    expected utility: its residual is at most 1e-8 and its entries at least
+    -1e-8 before clipping and normalization, which moves each other
+    player's mixture by at most ``(2 |t_j| + 1) * 1e-8`` in 1-norm. So
+    ``a`` falls short of the expected utility by at most about
+    ``8e-8 * max(1, |u|max) * s``, and ``a'`` gains over it by more than
+    ``tol``: the margin sits over 12 times above that slack. The search
+    skips the root solve (Porter, Nudelman and Shoham, GEB 2008).
+    """
+    counts = game.strategy_counts
+    size = sum(len(t) for t in supports)
+    for i, own in enumerate(supports):
+        axes = [range(m) if j == i else t for j, (m, t) in enumerate(zip(counts, supports))]
+        u = game.payoff_tensor[..., i][np.ix_(*axes)]
+        u = np.moveaxis(u, i, 0).reshape(counts[i], -1)
+        margin = tol + 1e-6 * max(1.0, float(np.abs(u).max())) * size
+        # Row a' and column a: the least a' gains over a on any profile.
+        least_gain = (u[:, None, :] - u[None, list(own), :]).min(axis=2)
+        if (least_gain > margin).any():
+            return True
+    return False
+
+
+def _indifference_residuals(sub: np.ndarray, probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Indifference system of a support combination at per-player support
+    weights ``probs``, over the combination's payoff sub-tensor ``sub``: per
+    player, each in-support strategy's payoff minus the first one's, then
+    the weights' sum minus one."""
+    eqs = []
+    for i, dev in enumerate(_deviation_payoffs(sub, probs)):
+        eqs.extend(dev[1:] - dev[0])
+        eqs.append(probs[i].sum() - 1.0)
+    return np.array(eqs)
+
+
+def _indifference_jacobian(sub: np.ndarray, probs: Sequence[np.ndarray]) -> np.ndarray:
+    """Exact Jacobian of ``_indifference_residuals`` with respect to the
+    concatenated weights. Expected payoffs are multilinear, so the block of
+    player i's rows and player j's columns is ``sub[..., i]`` contracted, as
+    in ``_deviation_payoffs``, with the weights of every player except i and
+    j. Player i's payoffs do not depend on their own weights; their
+    normalization row is ones on them."""
+    n = len(probs)
+    sizes = [len(p) for p in probs]
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    jac = np.zeros((ends[-1], ends[-1]))
+    for i in range(n):
+        for j in range(n):
+            if j == i:
+                continue
+            pair = np.moveaxis(sub[..., i], (i, j), (0, 1))
+            for k in reversed([k for k in range(n) if k not in (i, j)]):
+                pair = np.tensordot(pair, probs[k], axes=([-1], [0]))
+            jac[starts[i] : ends[i] - 1, starts[j] : ends[j]] = pair[1:] - pair[0]
+        jac[ends[i] - 1, starts[i] : ends[i]] = 1.0
+    return jac
+
+
 def _n_player_candidates(
-    game: Game, supports: tuple[tuple[int, ...], ...]
+    game: Game, supports: tuple[tuple[int, ...], ...], tol: float
 ) -> list[tuple[list[np.ndarray], bool]]:
     """Candidates on a support combination for three or more players, in
     which some support has two or more strategies.
 
-    The indifference system is multilinear, so it is solved numerically
-    (starting from the uniform point); the uniform point itself is also kept
-    as a candidate, which catches payoff-flat continua that leave the system
-    rank-deficient. Every candidate is validated downstream.
+    A combination with a conditionally dominated in-support strategy
+    (``_conditionally_dominated``) has none. Otherwise the indifference
+    system, which is multilinear, is solved by one MINPACK ``hybrj`` run
+    with its exact Jacobian, started once from the uniform point; the
+    uniform point itself is also kept as a candidate, which catches
+    payoff-flat continua that leave the system rank-deficient. Every
+    candidate is validated downstream.
     """
-    sizes = [len(t) for t in supports]
+    if _conditionally_dominated(game, supports, tol):
+        return []
     sub = game.payoff_tensor[np.ix_(*supports)]
-
-    def unpack(z: np.ndarray) -> list[np.ndarray]:
-        probs, offset = [], 0
-        for size in sizes:
-            probs.append(z[offset : offset + size])
-            offset += size
-        return probs
+    splits = np.cumsum([len(t) for t in supports])[:-1]
 
     def system(z: np.ndarray) -> np.ndarray:
-        probs = unpack(z)
-        eqs = []
-        for i, dev in enumerate(_deviation_payoffs(sub, probs)):
-            eqs.extend(dev[1:] - dev[0])
-            eqs.append(probs[i].sum() - 1.0)
-        return np.array(eqs)
+        return _indifference_residuals(sub, np.split(z, splits))
 
-    uniform = np.concatenate([np.full(size, 1.0 / size) for size in sizes])
+    def jacobian(z: np.ndarray) -> np.ndarray:
+        return _indifference_jacobian(sub, np.split(z, splits))
+
+    uniform = np.concatenate([np.full(len(t), 1.0 / len(t)) for t in supports])
     # Read through the module, so the first call imports scipy.
-    sol = sys.modules[__name__].optimize.root(system, uniform, method="hybr")
+    sol = sys.modules[__name__].optimize.root(system, uniform, jac=jacobian, method="hybr")
     z = None
-    if sol.success and float(np.abs(system(sol.x)).max()) <= 1e-8:
+    if sol.success and float(np.abs(sol.fun).max()) <= 1e-8:
         z = sol.x
     elif float(np.abs(system(uniform)).max()) <= 1e-9:
         z = uniform
     if z is None or z.min() < -1e-8:
         return []
-    probs = [np.clip(p, 0.0, None) for p in unpack(z)]
+    probs = [np.clip(p, 0.0, None) for p in np.split(z, splits)]
     if not all(p.sum() > 0 for p in probs):
         return []
     probs = [p / p.sum() for p in probs]
 
     # Rank-deficient Jacobian at the solution marks a continuum of solutions
     # on this support; the point is then reported as a family sample.
-    h = 1e-6
-    jac = np.empty((z.size, z.size))
-    for j in range(z.size):
-        bump = np.zeros_like(z)
-        bump[j] = h
-        jac[:, j] = (system(z + bump) - system(z - bump)) / (2 * h)
-    degenerate = bool(np.linalg.matrix_rank(jac) < z.size)
+    degenerate = bool(np.linalg.matrix_rank(jacobian(z)) < z.size)
     counts = game.strategy_counts
     return [([_embed(m, t, p) for m, t, p in zip(counts, supports, probs)], degenerate)]
 
@@ -698,7 +763,12 @@ def support_enumeration(
     the sample is reported with ``degenerate=True`` to mark a continuum of
     equilibria on that support. Two players' systems are solved in stacks by
     support size; every candidate is still validated in combination order,
-    so the first of a cluster of near-duplicates is the one kept.
+    so the first of a cluster of near-duplicates is the one kept. On three or
+    more players a combination in which some in-support strategy is
+    conditionally dominated by more than a margin over ``tol`` is skipped, as
+    none of its candidates could pass validation; each other combination
+    gets one root solve with the exact Jacobian, started from the uniform
+    point, so equilibria that this single start misses are not found.
     """
     _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts
@@ -715,7 +785,7 @@ def support_enumeration(
     def candidates_for(combo: tuple[tuple[int, ...], ...]):
         if game.n == 2:
             return [two_player[combo]] if combo in two_player else []
-        return _n_player_candidates(game, combo)
+        return _n_player_candidates(game, combo, tol)
 
     accepted: list[tuple[MixedProfile, bool]] = []
     for combo in itertools.product(*supports):

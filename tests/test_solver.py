@@ -315,10 +315,16 @@ def test_root_solves_go_through_the_module_attribute(monkeypatch):
             return optimize.root(*args, **kwargs)
 
     monkeypatch.setattr(solver, "optimize", Recorder())
-    results, _ = _solve_game(_three_player_pennies(), SolveOptions())
+    game = _three_player_pennies()
+    results, _ = _solve_game(game, SolveOptions())
     assert len(results) == 1
-    # One root solve per mixed support combination: 3^3 minus the 8 pure.
-    assert len(calls) == 19
+    # One root solve per mixed support combination (3^3 minus the 8 pure)
+    # that the dominance check leaves.
+    supports = list(solver._support_iter(2, 2))
+    mixed = [c for c in itertools.product(supports, repeat=3) if max(map(len, c)) > 1]
+    assert len(mixed) == 19
+    pruned = sum(_dominated_oracle(game, c, cg.DEFAULT_TOL) for c in mixed)
+    assert len(calls) == 19 - pruned
 
 
 def test_support_enumeration_budget(dinner):
@@ -347,15 +353,16 @@ def test_distinct_matches_a_linear_scan():
 # --- two-player stacked solves ----------------------------------------------
 
 def _action_game(payoffs):
-    """Two players at K=1 with one action per row/column of ``payoffs``
-    (shape m x m x 2)."""
-    m = payoffs.shape[0]
+    """n players at K=1 with m actions each, from ``payoffs`` of shape
+    (m,) * n + (n,)."""
+    m, n = payoffs.shape[0], payoffs.shape[-1]
     labels = tuple(f"a{k}" for k in range(m))
     return cg.make_game(
-        ["x", "y"], K=1, action_labels=labels,
+        list("xyzw"[:n]), K=1, action_labels=labels,
         exact_payoffs={
-            ("0|1", (labels[i], labels[j])): payoffs[i, j].tolist()
-            for i in range(m) for j in range(m)
+            ("|".join(map(str, range(n))), tuple(labels[k] for k in cell)):
+                payoffs[cell].tolist()
+            for cell in itertools.product(range(m), repeat=n)
         },
     )
 
@@ -635,6 +642,107 @@ def test_result_flags_are_python_bools(pennies, pd2, pd_ext):
         assert results
         for r in results:
             assert type(r.degenerate) is bool and type(r.strict) is bool
+
+
+# --- n-player search: dominance pruning, exact Jacobian ---------------------
+
+def _dominated_oracle(game, supports, tol):
+    """The definition of ``solver._conditionally_dominated``, in plain
+    loops: some in-support strategy a of some player i, and some strategy b
+    of i, such that b pays i more than a by over the margin against every
+    profile of the others' supports."""
+    size = sum(len(t) for t in supports)
+    for i, own in enumerate(supports):
+        rest = list(supports[:i]) + list(supports[i + 1 :])
+        profiles = list(itertools.product(*rest))
+
+        def payoff(k, others):
+            return game.payoff_tensor[others[:i] + (k,) + others[i:]][i]
+
+        m = game.strategy_counts[i]
+        scale = max(1.0, max(abs(payoff(k, o)) for k in range(m) for o in profiles))
+        margin = tol + 1e-6 * scale * size
+        for a in own:
+            for b in range(m):
+                if all(payoff(b, o) - payoff(a, o) > margin for o in profiles):
+                    return True
+    return False
+
+
+def _three_player_game(m, seed, integer):
+    rng = np.random.default_rng(seed)
+    if integer:
+        return _action_game(rng.integers(0, 3, (m, m, m, 3)).astype(float))
+    return _action_game(rng.random((m, m, m, 3)))
+
+
+_three_player_games = st.builds(
+    _three_player_game, st.integers(2, 3), st.integers(0, 2**32 - 1), st.booleans()
+)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_three_player_games, st.sampled_from([1e-9, 1e-3, 0.5]))
+def test_dominance_pruning_changes_no_result(game, tol):
+    supports = [list(solver._support_iter(m, m)) for m in game.strategy_counts]
+    for combo in itertools.product(*supports):
+        assert solver._conditionally_dominated(game, combo, tol) == _dominated_oracle(
+            game, combo, tol
+        )
+    got = cg.support_enumeration(game, tol=tol)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_conditionally_dominated", lambda *args: False)
+        expected = cg.support_enumeration(game, tol=tol)
+    assert len(got) == len(expected)
+    for r, e in zip(got, expected):
+        assert all(
+            np.array_equal(v, w) for v, w in zip(r.profile.vectors(), e.profile.vectors())
+        )
+        assert (r.support, r.degenerate, r.strict) == (e.support, e.degenerate, e.strict)
+
+
+def _central_difference_jacobian(sub, probs, h=1e-6):
+    z = np.concatenate(probs)
+    splits = np.cumsum([len(p) for p in probs])[:-1]
+    jac = np.empty((z.size, z.size))
+    for j in range(z.size):
+        bump = np.zeros(z.size)
+        bump[j] = h
+        plus = solver._indifference_residuals(sub, np.split(z + bump, splits))
+        minus = solver._indifference_residuals(sub, np.split(z - bump, splits))
+        jac[:, j] = (plus - minus) / (2 * h)
+    return jac
+
+
+@pytest.mark.parametrize(
+    "sizes", [(2, 3, 1), (3, 3, 3), (1, 2, 2), (2, 1, 3, 2), (3, 2, 2, 2)]
+)
+def test_indifference_jacobian_matches_central_differences(sizes):
+    rng = np.random.default_rng(sum(sizes) * len(sizes))
+    for _ in range(5):
+        sub = rng.normal(size=sizes + (len(sizes),))
+        probs = [rng.dirichlet(np.ones(s)) for s in sizes]
+        exact = solver._indifference_jacobian(sub, probs)
+        assert exact.shape == (sum(sizes),) * 2
+        assert np.abs(exact - _central_difference_jacobian(sub, probs)).max() <= 1e-6
+
+
+def test_payoff_twins_give_a_degenerate_three_player_mixture():
+    """Player x's payoff does not depend on their own action, so both of
+    their strategies are payoff twins; y and z play matching pennies."""
+    payoffs = np.zeros((2, 2, 2, 3))
+    for x, y, z in itertools.product((0, 1), repeat=3):
+        payoffs[x, y, z] = [y + z, 1 if y == z else -1, 1 if y != z else -1]
+    game = _action_game(payoffs)
+    for tol in (cg.DEFAULT_TOL, 0.5):
+        results = cg.support_enumeration(game, tol=tol)
+        assert [(r.support, r.degenerate, r.strict) for r in results] == [
+            (((0,), (0, 1), (0, 1)), False, False),
+            (((1,), (0, 1), (0, 1)), False, False),
+            (((0, 1), (0, 1), (0, 1)), True, True),
+        ]
+        for r in results:
+            assert np.allclose(np.concatenate(r.profile.vectors()[1:]), 0.5, atol=1e-9)
 
 
 # --- partition pushforward --------------------------------------------------
