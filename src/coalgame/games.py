@@ -16,7 +16,7 @@ action id) pairs, and shared by the solver.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Mapping, Sequence
 
@@ -306,11 +306,6 @@ class Game:
             self.strategy_index(i, choice) for i, choice in enumerate(profile)
         )
 
-    def iter_profiles(self):
-        """All pure profiles in lexicographic index order."""
-        for indices in itertools.product(*(range(m) for m in self.strategy_counts)):
-            yield indices, self.profile_from_indices(indices)
-
     def _payoff_at(self, realized: Partition, action_ids: tuple[int, ...]) -> np.ndarray:
         """Table lookup, plus the bonus if the designated partition is realized."""
         vec = np.array(self.payoffs.lookup(realized.key, action_ids), dtype=np.float64)
@@ -364,9 +359,6 @@ class Game:
         out = payoffs[expand]
         out.flags.writeable = False
         return out
-
-    def with_payoffs(self, payoffs: PayoffTable) -> "Game":
-        return replace(self, payoffs=payoffs)
 
 
 def build_strategy_set(game: Game, player: int) -> list[PartitionStrategy]:

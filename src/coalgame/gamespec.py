@@ -66,12 +66,6 @@ class GameSpec:
     def has_range(self) -> bool:
         return self.k_min != self.k_max
 
-    def player_index(self, name: str) -> int:
-        try:
-            return self.players.index(name)
-        except ValueError:
-            raise InvalidParameterError(f"unknown player name {name!r}") from None
-
     def with_epsilon(self, bonus: float | Sequence[float]) -> "GameSpec":
         """Copy with the bonus magnitude replaced (partition kept)."""
         if self.epsilon is None:

@@ -9,8 +9,9 @@ each unilateral pure deviation. The support search covers only the support
 combinations in which some player mixes; each of its candidates is validated
 with ``is_equilibrium`` before it is reported. On three or more players it
 skips each combination with a conditionally dominated in-support strategy,
-and solves the others' indifference systems with MINPACK ``hybrj`` and the
-exact Jacobian, started once from the uniform point. The reported
+and solves the others' indifference systems by Newton's method on the exact
+Jacobian from the uniform point and 16 fixed interior points, keeping the
+first root that passes its acceptance test. The reported
 ``max_regret`` is the largest improvement any pure deviation achieves
 (floored at zero).
 
@@ -22,7 +23,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import sys
 from dataclasses import dataclass
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
@@ -44,21 +44,6 @@ DEDUP_TOL = 1e-6
 #: whatever the budget.
 STACK_FLOATS = 1 << 18
 _NORM_TOL = 1e-12
-
-
-def __getattr__(name: str):
-    """Import ``scipy.optimize`` on first access to ``solver.optimize``.
-
-    Only the search on three or more players calls it, so pure, two-player
-    and validate runs never load scipy. The module is bound as a global, so
-    later reads (and anything that replaces it) see one object.
-    """
-    if name == "optimize":
-        from scipy import optimize
-
-        globals()["optimize"] = optimize
-        return optimize
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,9 +73,6 @@ class MixedStrategy:
     def support(self) -> tuple[int, ...]:
         return tuple(int(k) for k in np.nonzero(self.probabilities > _NORM_TOL)[0])
 
-    def is_pure(self) -> bool:
-        return np.count_nonzero(self.probabilities > _NORM_TOL) == 1
-
 
 @dataclass(frozen=True, eq=False)
 class MixedProfile:
@@ -101,9 +83,6 @@ class MixedProfile:
     @property
     def n(self) -> int:
         return len(self.strategies)
-
-    def is_pure(self) -> bool:
-        return all(s.is_pure() for s in self.strategies)
 
     def vectors(self) -> list[np.ndarray]:
         return [s.probabilities for s in self.strategies]
@@ -249,13 +228,13 @@ def expected_utility(game: Game, profile: MixedProfile, player: int) -> float:
 
 
 def _check_solve_args(mode: str, tol: float, max_support: int | None = None) -> None:
-    """The one check of the solver options: a known mode, a positive
+    """The one check of the solver options: a known mode, a positive finite
     tolerance, and a support cap (None for none) of at least one. Budgets
     are checked by ``games._check_budget``."""
     if mode not in ("weak", "strict"):
         raise InvalidParameterError(f"mode must be 'weak' or 'strict', got {mode!r}")
-    if not tol > 0:
-        raise InvalidParameterError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise InvalidParameterError(f"tolerance must be positive and finite, got {tol}")
     if max_support is not None and max_support < 1:
         raise InvalidParameterError(f"max_support must be at least 1, got {max_support}")
 
@@ -661,40 +640,79 @@ def _conditionally_dominated(
     return False
 
 
-def _indifference_residuals(sub: np.ndarray, probs: Sequence[np.ndarray]) -> np.ndarray:
-    """Indifference system of a support combination at per-player support
-    weights ``probs``, over the combination's payoff sub-tensor ``sub``: per
-    player, each in-support strategy's payoff minus the first one's, then
-    the weights' sum minus one."""
-    eqs = []
-    for i, dev in enumerate(_deviation_payoffs(sub, probs)):
-        eqs.extend(dev[1:] - dev[0])
-        eqs.append(probs[i].sum() - 1.0)
-    return np.array(eqs)
+def _indifference_system(
+    sub: np.ndarray, z: np.ndarray, sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Indifference system of a support combination, over its payoff
+    sub-tensor ``sub``, at each row of ``z`` (the players' support weights,
+    concatenated; ``sizes`` are the support sizes). Returns the residuals
+    (per player, each in-support strategy's payoff minus the first one's,
+    then the weights' sum minus one) and their exact Jacobians.
 
-
-def _indifference_jacobian(sub: np.ndarray, probs: Sequence[np.ndarray]) -> np.ndarray:
-    """Exact Jacobian of ``_indifference_residuals`` with respect to the
-    concatenated weights. Expected payoffs are multilinear, so the block of
-    player i's rows and player j's columns is ``sub[..., i]`` contracted, as
-    in ``_deviation_payoffs``, with the weights of every player except i and
-    j. Player i's payoffs do not depend on their own weights; their
-    normalization row is ones on them."""
-    n = len(probs)
-    sizes = [len(p) for p in probs]
+    Expected payoffs are multilinear, so the block of player i's rows and
+    player j's columns is ``sub[..., i]`` contracted with the weights of
+    every player except i and j, and player i's payoff rows are that block
+    times j's weights. Player i's payoffs do not depend on their own
+    weights; their normalization row is ones on them.
+    """
+    n = len(sizes)
     ends = np.cumsum(sizes)
     starts = ends - sizes
-    jac = np.zeros((ends[-1], ends[-1]))
+    probs = np.split(z, ends[:-1], axis=1)
+    fun = np.empty(z.shape)
+    jac = np.zeros(z.shape + z.shape[1:])
     for i in range(n):
+        rows = slice(starts[i], ends[i] - 1)
         for j in range(n):
             if j == i:
                 continue
-            pair = np.moveaxis(sub[..., i], (i, j), (0, 1))
-            for k in reversed([k for k in range(n) if k not in (i, j)]):
-                pair = np.tensordot(pair, probs[k], axes=([-1], [0]))
-            jac[starts[i] : ends[i] - 1, starts[j] : ends[j]] = pair[1:] - pair[0]
-        jac[ends[i] - 1, starts[i] : ends[i]] = 1.0
-    return jac
+            others = [x for k in range(n) if k not in (i, j) for x in (probs[k], [n, k])]
+            pair = np.einsum(sub[..., i], list(range(n)), *others, [n, i, j])
+            jac[:, rows, starts[j] : ends[j]] = pair[:, 1:] - pair[:, :1]
+        j = (i + 1) % n  # any other player's block serves
+        fun[:, rows] = np.einsum("bij,bj->bi", jac[:, rows, starts[j] : ends[j]], probs[j])
+        fun[:, ends[i] - 1] = probs[i].sum(axis=1) - 1.0
+        jac[:, ends[i] - 1, starts[i] : ends[i]] = 1.0
+    return fun, jac
+
+
+def _newton(
+    sub: np.ndarray, z: np.ndarray, sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Newton's method on the indifference system of ``_indifference_system``
+    from each row of ``z`` at once. Each step is halved at most four times
+    until the start's largest residual falls; a start stops when it no
+    longer falls, and all stop after 50 steps. Returns the final points,
+    their largest residuals and their Jacobians. A step from a near-singular
+    Jacobian can overflow; its residual is then not finite, so it does not
+    fall."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fun, jac = _indifference_system(sub, z, sizes)
+        worst = np.abs(fun).max(axis=1)
+        live = np.arange(len(z))
+        for _ in range(50):
+            try:
+                step = np.linalg.solve(jac[live], -fun[live, :, None])[..., 0]
+            except np.linalg.LinAlgError:
+                step = (np.linalg.pinv(jac[live]) @ -fun[live, :, None])[..., 0]
+            moved = np.zeros(live.size, dtype=bool)
+            for _ in range(5):
+                wait = np.flatnonzero(~moved)
+                trial = z[live[wait]] + step[wait]
+                trial_fun, trial_jac = _indifference_system(sub, trial, sizes)
+                trial_worst = np.abs(trial_fun).max(axis=1)
+                fell = trial_worst < worst[live[wait]]
+                rows = live[wait[fell]]
+                z[rows], fun[rows], jac[rows] = trial[fell], trial_fun[fell], trial_jac[fell]
+                worst[rows] = trial_worst[fell]
+                moved[wait[fell]] = True
+                if moved.all():
+                    break
+                step[~moved] /= 2
+            live = live[moved]
+            if not live.size:
+                break
+    return z, worst, jac
 
 
 def _n_player_candidates(
@@ -705,41 +723,35 @@ def _n_player_candidates(
 
     A combination with a conditionally dominated in-support strategy
     (``_conditionally_dominated``) has none. Otherwise the indifference
-    system, which is multilinear, is solved by one MINPACK ``hybrj`` run
-    with its exact Jacobian, started once from the uniform point; the
-    uniform point itself is also kept as a candidate, which catches
-    payoff-flat continua that leave the system rank-deficient. Every
-    candidate is validated downstream.
+    system, which is multilinear, is solved by ``_newton`` from 17 starts:
+    the uniform point, then 16 fixed interior points. The first start, in
+    that order, that ends with a residual of at most 1e-8 and entries of at
+    least -1e-8 gives the candidate; it is validated downstream. The uniform
+    start alone misses roots that MINPACK ``hybrj`` reaches from the same
+    point; the other starts find them.
     """
     if _conditionally_dominated(game, supports, tol):
         return []
     sub = game.payoff_tensor[np.ix_(*supports)]
-    splits = np.cumsum([len(t) for t in supports])[:-1]
-
-    def system(z: np.ndarray) -> np.ndarray:
-        return _indifference_residuals(sub, np.split(z, splits))
-
-    def jacobian(z: np.ndarray) -> np.ndarray:
-        return _indifference_jacobian(sub, np.split(z, splits))
-
-    uniform = np.concatenate([np.full(len(t), 1.0 / len(t)) for t in supports])
-    # Read through the module, so the first call imports scipy.
-    sol = sys.modules[__name__].optimize.root(system, uniform, jac=jacobian, method="hybr")
-    z = None
-    if sol.success and float(np.abs(sol.fun).max()) <= 1e-8:
-        z = sol.x
-    elif float(np.abs(system(uniform)).max()) <= 1e-9:
-        z = uniform
-    if z is None or z.min() < -1e-8:
+    sizes = [len(t) for t in supports]
+    rng = np.random.default_rng(0)
+    starts = np.vstack([
+        np.concatenate([np.full(s, 1.0 / s) for s in sizes]),
+        np.concatenate([rng.dirichlet(np.ones(s), 16) for s in sizes], axis=1),
+    ])
+    z, worst, jac = _newton(sub, starts, sizes)
+    found = np.flatnonzero((worst <= 1e-8) & (z.min(axis=1) >= -1e-8))
+    if not found.size:
         return []
-    probs = [np.clip(p, 0.0, None) for p in np.split(z, splits)]
+    z, jac = z[found[0]], jac[found[0]]
+    probs = [np.clip(p, 0.0, None) for p in np.split(z, np.cumsum(sizes)[:-1])]
     if not all(p.sum() > 0 for p in probs):
         return []
     probs = [p / p.sum() for p in probs]
 
     # Rank-deficient Jacobian at the solution marks a continuum of solutions
     # on this support; the point is then reported as a family sample.
-    degenerate = bool(np.linalg.matrix_rank(jacobian(z)) < z.size)
+    degenerate = bool(np.linalg.matrix_rank(jac) < z.size)
     counts = game.strategy_counts
     return [([_embed(m, t, p) for m, t, p in zip(counts, supports, probs)], degenerate)]
 
@@ -767,8 +779,9 @@ def support_enumeration(
     more players a combination in which some in-support strategy is
     conditionally dominated by more than a margin over ``tol`` is skipped, as
     none of its candidates could pass validation; each other combination
-    gets one root solve with the exact Jacobian, started from the uniform
-    point, so equilibria that this single start misses are not found.
+    gets Newton's method on the exact Jacobian from 17 fixed starts and
+    keeps the first root found, so equilibria that these starts miss, and
+    further equilibria on one combination, are not found.
     """
     _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts

@@ -59,11 +59,27 @@ def _write_spec(path, players, K, payoffs, actions=("act",)):
     return path
 
 
+def _write_three_player_pennies(directory):
+    """Jordan's three-player matching pennies: its only equilibrium is
+    uniform mixing, found by the n≥3 support search."""
+    payoffs = [
+        {
+            "partition": "0|1|2",
+            "actions": ["HT"[x], "HT"[y], "HT"[z]],
+            "payoff": [1 if x == y else -1, 1 if y == z else -1, 1 if z != x else -1],
+        }
+        for x in (0, 1) for y in (0, 1) for z in (0, 1)
+    ]
+    return _write_spec(directory / "pennies3.spec", ["a", "b", "c"], 1, payoffs, "HT")
+
+
 @pytest.fixture(scope="module")
 def spec_dir(tmp_path_factory):
+    """The bundled specs, plus ``pennies3.spec``."""
     target = tmp_path_factory.mktemp("specs")
     code, _, _ = _run("examples", "--out", str(target))
     assert code == 0
+    _write_three_player_pennies(target)
     return target
 
 
@@ -211,6 +227,7 @@ def test_strict_runs_label_every_result_strict(spec_dir):
         ("solve", "--tol", "-1"),
         ("solve", "--tol", "0"),
         ("solve", "--tol", "nan"),
+        ("solve", "--tol", "inf"),
         ("solve", "--max-support", "0"),
         ("solve", "--budget", "-5"),
         ("family", "--tol", "0"),
@@ -298,12 +315,13 @@ def test_missing_subcommand_exits_two():
     [
         ("solve", "pd.spec"),
         ("solve", "matching_pennies.spec"),
+        ("solve", "pennies3.spec"),
         ("family", "dinner.spec", "--k-min", "1", "--k-max", "2"),
         ("validate", "dinner.spec"),
     ],
     ids=" ".join,
 )
-def test_commands_without_an_n_player_search_never_load_scipy(spec_dir, argv):
+def test_no_command_loads_scipy(spec_dir, argv):
     command, spec, *flags = argv
     probe = _probe(command, str(spec_dir / spec), *flags, "--format", "json")
     assert probe["code"] == 0
@@ -311,20 +329,11 @@ def test_commands_without_an_n_player_search_never_load_scipy(spec_dir, argv):
     assert probe["scipy"] is False
 
 
-def test_three_player_mixed_solve_loads_scipy_and_finds_the_same_results(tmp_path):
-    # Three-player matching pennies: its only equilibrium is uniform mixing.
-    payoffs = [
-        {
-            "partition": "0|1|2",
-            "actions": ["HT"[x], "HT"[y], "HT"[z]],
-            "payoff": [1 if x == y else -1, 1 if y == z else -1, 1 if z != x else -1],
-        }
-        for x in (0, 1) for y in (0, 1) for z in (0, 1)
-    ]
-    spec = _write_spec(tmp_path / "pennies3.spec", ["a", "b", "c"], 1, payoffs, "HT")
+def test_three_player_mixed_solve_finds_the_same_results_in_a_fresh_process(spec_dir):
+    spec = spec_dir / "pennies3.spec"
     probe = _probe("solve", str(spec), "--format", "json")
     assert probe["code"] == 0
-    assert probe["scipy"] is True
+    assert probe["scipy"] is False
     code, out, _ = _run("solve", str(spec), "--format", "json")
     assert code == 0
     assert probe["out"] == out

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -79,8 +81,9 @@ def test_restriction_identity_is_exact(pd_fam, dinner_fam):
 
 def test_tampered_payoff_is_caught_with_the_offending_key():
     fam = cg.pd_family()
-    bad_game = fam[2].with_payoffs(
-        cg.PayoffTable(
+    bad_game = replace(
+        fam[2],
+        payoffs=cg.PayoffTable(
             n=2,
             exact={
                 key: ((9.0, 9.0) if key == ("0|1", (1, 1)) else vec)
@@ -88,7 +91,7 @@ def test_tampered_payoff_is_caught_with_the_offending_key():
             },
             partition_wide=dict(fam[2].payoffs.partition_wide),
             default=fam[2].payoffs.default,
-        )
+        ),
     )
     tampered = cg.GameFamily(base=fam.base, games={1: fam[1], 2: bad_game})
     report = cg.check_nesting(tampered)

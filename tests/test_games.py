@@ -236,11 +236,17 @@ def test_unaddressable_tensors_exceed_the_budget_before_any_allocation():
     assert "_cell_grid" not in vars(game)
 
 
+def _profiles(game):
+    """Every pure profile with its indices, in lexicographic index order."""
+    for indices in itertools.product(*(range(m) for m in game.strategy_counts)):
+        yield indices, game.profile_from_indices(indices)
+
+
 def test_payoff_matches_the_tensor_entry(dinner, pd1, pd2, pd_ext, pennies):
     for game in (pd1, pd2, pd_ext, pennies):
-        for indices, profile in game.iter_profiles():
+        for indices, profile in _profiles(game):
             assert np.array_equal(cg.payoff(game, profile), game.payoff_tensor[indices])
-    for indices, profile in itertools.islice(dinner.iter_profiles(), 0, None, 97):
+    for indices, profile in itertools.islice(_profiles(dinner), 0, None, 97):
         assert np.array_equal(cg.payoff(dinner, profile), dinner.payoff_tensor[indices])
 
 
@@ -249,7 +255,7 @@ def _reference_realized_index(game):
     its partition up in the family (-1 outside it)."""
     out = np.empty(game.strategy_counts, dtype=np.int32)
     lookup = game.family._index
-    for indices, profile in game.iter_profiles():
+    for indices, profile in _profiles(game):
         realized = game.rule.realize(profile)
         out[indices] = lookup.get(realized, -1)
     return out
@@ -260,7 +266,7 @@ def _reference_payoff_tensor(game):
     look up its (partition key, action ids) row, and add the bonus when the
     designated partition is realized."""
     out = np.empty(game.strategy_counts + (game.n,), dtype=np.float64)
-    for indices, profile in game.iter_profiles():
+    for indices, profile in _profiles(game):
         realized = game.rule.realize(profile)
         actions = tuple(choice.action.id for choice in profile)
         vec = np.asarray(game.payoffs.lookup(realized.key, actions), dtype=np.float64)

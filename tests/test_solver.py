@@ -90,7 +90,7 @@ def test_expected_utility_detects_escaping_rule():
 
 def test_shifting_one_players_payoffs_shifts_only_their_utility(pd2):
     rng = np.random.default_rng(3)
-    shifted = pd2.with_payoffs(pd2.payoffs.shifted(0, 7.5))
+    shifted = replace(pd2, payoffs=pd2.payoffs.shifted(0, 7.5))
     for _ in range(20):
         profile = _random_profile(pd2, rng)
         eu0 = cg.expected_utility(pd2, profile, 0)
@@ -108,7 +108,7 @@ def test_shifting_one_players_payoffs_shifts_only_their_utility(pd2):
 
 
 def test_shift_preserves_the_equilibrium_set(pd2):
-    shifted = pd2.with_payoffs(pd2.payoffs.shifted(1, -3.25))
+    shifted = replace(pd2, payoffs=pd2.payoffs.shifted(1, -3.25))
     original = {r.support for r in cg.enumerate_pure_equilibria(pd2)}
     moved = {r.support for r in cg.enumerate_pure_equilibria(shifted)}
     assert original == moved
@@ -300,31 +300,20 @@ def test_three_player_pennies_has_only_the_uniform_equilibrium():
     assert r.strict and not r.degenerate
 
 
-def test_root_solves_go_through_the_module_attribute(monkeypatch):
-    """``solver.optimize`` is scipy's module, bound on first access; the
-    search reads it from the module on each call, so a replacement set on the
-    module (as the benchmark's tracer does) sees every root solve."""
-    from scipy import optimize
-
-    assert solver.optimize is optimize
-    calls = []
-
-    class Recorder:
-        def root(self, *args, **kwargs):
-            calls.append(args[1])
-            return optimize.root(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "optimize", Recorder())
+def test_only_combinations_the_dominance_check_keeps_reach_a_root_solve(monkeypatch):
+    """Of the 3^3 - 8 = 19 mixed support combinations of Jordan's pennies,
+    the dominance check prunes all but the one the root solve settles."""
+    checked = _record_calls(monkeypatch, "_conditionally_dominated")
     game = _three_player_pennies()
     results, _ = _solve_game(game, SolveOptions())
     assert len(results) == 1
-    # One root solve per mixed support combination (3^3 minus the 8 pure)
-    # that the dominance check leaves.
     supports = list(solver._support_iter(2, 2))
     mixed = [c for c in itertools.product(supports, repeat=3) if max(map(len, c)) > 1]
     assert len(mixed) == 19
+    assert [args[1] for args, _ in checked] == mixed
     pruned = sum(_dominated_oracle(game, c, cg.DEFAULT_TOL) for c in mixed)
-    assert len(calls) == 19 - pruned
+    reached = [args[1] for args, dominated in checked if not dominated]
+    assert len(reached) == len(mixed) - pruned == 1
 
 
 def test_support_enumeration_budget(dinner):
@@ -701,6 +690,17 @@ def test_dominance_pruning_changes_no_result(game, tol):
         assert (r.support, r.degenerate, r.strict) == (e.support, e.degenerate, e.strict)
 
 
+def _indifference_residuals(sub, probs):
+    """Reference residuals of the indifference system, from
+    ``_deviation_payoffs``: per player, each in-support strategy's payoff
+    minus the first one's, then the weights' sum minus one."""
+    eqs = []
+    for i, dev in enumerate(solver._deviation_payoffs(sub, probs)):
+        eqs.extend(dev[1:] - dev[0])
+        eqs.append(probs[i].sum() - 1.0)
+    return np.array(eqs)
+
+
 def _central_difference_jacobian(sub, probs, h=1e-6):
     z = np.concatenate(probs)
     splits = np.cumsum([len(p) for p in probs])[:-1]
@@ -708,8 +708,8 @@ def _central_difference_jacobian(sub, probs, h=1e-6):
     for j in range(z.size):
         bump = np.zeros(z.size)
         bump[j] = h
-        plus = solver._indifference_residuals(sub, np.split(z + bump, splits))
-        minus = solver._indifference_residuals(sub, np.split(z - bump, splits))
+        plus = _indifference_residuals(sub, np.split(z + bump, splits))
+        minus = _indifference_residuals(sub, np.split(z - bump, splits))
         jac[:, j] = (plus - minus) / (2 * h)
     return jac
 
@@ -721,10 +721,14 @@ def test_indifference_jacobian_matches_central_differences(sizes):
     rng = np.random.default_rng(sum(sizes) * len(sizes))
     for _ in range(5):
         sub = rng.normal(size=sizes + (len(sizes),))
-        probs = [rng.dirichlet(np.ones(s)) for s in sizes]
-        exact = solver._indifference_jacobian(sub, probs)
-        assert exact.shape == (sum(sizes),) * 2
-        assert np.abs(exact - _central_difference_jacobian(sub, probs)).max() <= 1e-6
+        points = [[rng.dirichlet(np.ones(s)) for s in sizes] for _ in range(3)]
+        fun, jac = solver._indifference_system(
+            sub, np.array([np.concatenate(probs) for probs in points]), sizes
+        )
+        assert jac.shape == (3,) + (sum(sizes),) * 2
+        for probs, f, exact in zip(points, fun, jac):
+            assert np.abs(f - _indifference_residuals(sub, probs)).max() <= 1e-12
+            assert np.abs(exact - _central_difference_jacobian(sub, probs)).max() <= 1e-6
 
 
 def test_payoff_twins_give_a_degenerate_three_player_mixture():
@@ -743,6 +747,69 @@ def test_payoff_twins_give_a_degenerate_three_player_mixture():
         ]
         for r in results:
             assert np.allclose(np.concatenate(r.profile.vectors()[1:]), 0.5, atol=1e-9)
+
+
+def _hybrj_candidates(game, supports, tol):
+    """Reference for ``solver._n_player_candidates``: the same pruning, then
+    one MINPACK ``hybrj`` run on the exact Jacobian from the uniform point,
+    keeping the uniform point itself when it solves the system. The same
+    acceptance test, clipping, normalization and rank test follow."""
+    from scipy import optimize
+
+    if solver._conditionally_dominated(game, supports, tol):
+        return []
+    sub = game.payoff_tensor[np.ix_(*supports)]
+    sizes = [len(t) for t in supports]
+    splits = np.cumsum(sizes)[:-1]
+
+    def system(z):
+        return _indifference_residuals(sub, np.split(z, splits))
+
+    def jacobian(z):
+        return solver._indifference_system(sub, z[None], sizes)[1][0]
+
+    uniform = np.concatenate([np.full(len(t), 1.0 / len(t)) for t in supports])
+    sol = optimize.root(system, uniform, jac=jacobian, method="hybr")
+    z = None
+    if sol.success and float(np.abs(sol.fun).max()) <= 1e-8:
+        z = sol.x
+    elif float(np.abs(system(uniform)).max()) <= 1e-9:
+        z = uniform
+    if z is None or z.min() < -1e-8:
+        return []
+    probs = [np.clip(p, 0.0, None) for p in np.split(z, splits)]
+    if not all(p.sum() > 0 for p in probs):
+        return []
+    probs = [p / p.sum() for p in probs]
+    degenerate = bool(np.linalg.matrix_rank(jacobian(z)) < z.size)
+    counts = game.strategy_counts
+    return [([solver._embed(m, t, p) for m, t, p in zip(counts, supports, probs)], degenerate)]
+
+
+@pytest.mark.parametrize("tol", [cg.DEFAULT_TOL, 1e-3])
+def test_newton_finds_every_root_hybrj_finds(monkeypatch, tol):
+    games = [_three_player_game(m, seed, False) for m in (2, 3) for seed in range(3)]
+    games += [_action_game(np.random.default_rng(seed).random((2,) * 4 + (4,)))
+              for seed in range(3)]
+    references = 0
+    for game in games:
+        got = cg.support_enumeration(game, tol=tol)
+        with monkeypatch.context() as mp:
+            mp.setattr(solver, "_n_player_candidates", _hybrj_candidates)
+            expected = cg.support_enumeration(game, tol=tol)
+        references += len(expected)
+        keys = [np.concatenate(r.profile.vectors()) for r in got]
+        for e in expected:
+            flags = (e.support, e.degenerate, e.strict)
+            key = np.concatenate(e.profile.vectors())
+            assert any(
+                np.abs(k - key).max() <= DEDUP_TOL
+                and (r.support, r.degenerate, r.strict) == flags
+                for k, r in zip(keys, got)
+            )
+        for r in got:
+            assert cg.is_equilibrium(game, r.profile, "weak", tol).ok
+    assert references > len(games)
 
 
 # --- partition pushforward --------------------------------------------------
