@@ -10,8 +10,7 @@ combinations in which some player mixes; each of its candidates is validated
 with ``is_equilibrium`` before it is reported. On three or more players it
 skips each combination with a conditionally dominated in-support strategy,
 and solves the others' indifference systems by Newton's method on the exact
-Jacobian from the uniform point and 16 fixed interior points, keeping the
-first root that passes its acceptance test. The reported
+Jacobian from the uniform point and 16 fixed interior points. The reported
 ``max_regret`` is the largest improvement any pure deviation achieves
 (floored at zero).
 
@@ -643,49 +642,46 @@ def _conditionally_dominated(
 def _indifference_system(
     sub: np.ndarray, z: np.ndarray, sizes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Indifference system of a support combination, over its payoff
-    sub-tensor ``sub``, at each row of ``z`` (the players' support weights,
-    concatenated; ``sizes`` are the support sizes). Returns the residuals
-    (per player, each in-support strategy's payoff minus the first one's,
-    then the weights' sum minus one) and their exact Jacobians.
-
-    Expected payoffs are multilinear, so the block of player i's rows and
-    player j's columns is ``sub[..., i]`` contracted with the weights of
-    every player except i and j, and player i's payoff rows are that block
-    times j's weights. Player i's payoffs do not depend on their own
-    weights; their normalization row is ones on them.
+    """Residuals and exact Jacobians of a support combination's indifference
+    system at each row of ``z``: the players' support weights, concatenated
+    (``sizes`` are the support sizes), against the payoff sub-tensor ``sub``.
+    Per player, the residuals are each in-support strategy's payoff minus
+    the first one's, then the weights' sum minus one. Payoffs are
+    multilinear: the block of player i's rows and j's columns is
+    ``sub[..., i]`` contracted with the weights of every player but i and j,
+    and i's payoff rows are that block times j's weights. Player i's
+    normalization row is ones on their own weights.
     """
     n = len(sizes)
-    ends = np.cumsum(sizes)
-    starts = ends - sizes
-    probs = np.split(z, ends[:-1], axis=1)
+    ends = list(itertools.accumulate(sizes))
+    spans = [slice(end - size, end) for size, end in zip(sizes, ends)]
+    probs = [z[:, span] for span in spans]
+    axes = list(range(n))
     fun = np.empty(z.shape)
     jac = np.zeros(z.shape + z.shape[1:])
     for i in range(n):
-        rows = slice(starts[i], ends[i] - 1)
+        rows = slice(spans[i].start, ends[i] - 1)
         for j in range(n):
             if j == i:
                 continue
-            others = [x for k in range(n) if k not in (i, j) for x in (probs[k], [n, k])]
-            pair = np.einsum(sub[..., i], list(range(n)), *others, [n, i, j])
-            jac[:, rows, starts[j] : ends[j]] = pair[:, 1:] - pair[:, :1]
+            others = [x for k in axes if k not in (i, j) for x in (probs[k], [n, k])]
+            pair = np.einsum(sub[..., i], axes, *others, [n, i, j])
+            jac[:, rows, spans[j]] = pair[:, 1:] - pair[:, :1]
         j = (i + 1) % n  # any other player's block serves
-        fun[:, rows] = np.einsum("bij,bj->bi", jac[:, rows, starts[j] : ends[j]], probs[j])
+        fun[:, rows] = (jac[:, rows, spans[j]] @ probs[j][..., None])[..., 0]
         fun[:, ends[i] - 1] = probs[i].sum(axis=1) - 1.0
-        jac[:, ends[i] - 1, starts[i] : ends[i]] = 1.0
+        jac[:, ends[i] - 1, spans[i]] = 1.0
     return fun, jac
 
 
 def _newton(
     sub: np.ndarray, z: np.ndarray, sizes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Newton's method on the indifference system of ``_indifference_system``
-    from each row of ``z`` at once. Each step is halved at most four times
-    until the start's largest residual falls; a start stops when it no
-    longer falls, and all stop after 50 steps. Returns the final points,
-    their largest residuals and their Jacobians. A step from a near-singular
-    Jacobian can overflow; its residual is then not finite, so it does not
-    fall."""
+    """Newton's method on ``_indifference_system`` from each row of ``z`` at
+    once. Each step is halved at most four times until the start's largest
+    residual falls; a start stops when it no longer falls, all after 50
+    steps. Returns the final points, largest residuals and Jacobians. An
+    overflowing step has a non-finite residual, which does not fall."""
     with np.errstate(over="ignore", invalid="ignore"):
         fun, jac = _indifference_system(sub, z, sizes)
         worst = np.abs(fun).max(axis=1)
@@ -722,13 +718,13 @@ def _n_player_candidates(
     which some support has two or more strategies.
 
     A combination with a conditionally dominated in-support strategy
-    (``_conditionally_dominated``) has none. Otherwise the indifference
-    system, which is multilinear, is solved by ``_newton`` from 17 starts:
-    the uniform point, then 16 fixed interior points. The first start, in
-    that order, that ends with a residual of at most 1e-8 and entries of at
-    least -1e-8 gives the candidate; it is validated downstream. The uniform
-    start alone misses roots that MINPACK ``hybrj`` reaches from the same
-    point; the other starts find them.
+    (``_conditionally_dominated``) has none. Otherwise ``_newton`` solves the
+    multilinear indifference system from the uniform point and 16 fixed
+    interior points. Each distinct root with residual at most 1e-8 and
+    entries at least -1e-8 is a candidate, in start order; candidates are
+    validated downstream. One start misses roots that MINPACK ``hybrj``
+    reaches from the uniform point, and a support can hold several
+    equilibria.
     """
     if _conditionally_dominated(game, supports, tol):
         return []
@@ -740,20 +736,22 @@ def _n_player_candidates(
         np.concatenate([rng.dirichlet(np.ones(s), 16) for s in sizes], axis=1),
     ])
     z, worst, jac = _newton(sub, starts, sizes)
-    found = np.flatnonzero((worst <= 1e-8) & (z.min(axis=1) >= -1e-8))
-    if not found.size:
-        return []
-    z, jac = z[found[0]], jac[found[0]]
-    probs = [np.clip(p, 0.0, None) for p in np.split(z, np.cumsum(sizes)[:-1])]
-    if not all(p.sum() > 0 for p in probs):
-        return []
-    probs = [p / p.sum() for p in probs]
-
-    # Rank-deficient Jacobian at the solution marks a continuum of solutions
-    # on this support; the point is then reported as a family sample.
-    degenerate = bool(np.linalg.matrix_rank(jac) < z.size)
     counts = game.strategy_counts
-    return [([_embed(m, t, p) for m, t, p in zip(counts, supports, probs)], degenerate)]
+    out, kept = [], []
+    for k in np.flatnonzero((worst <= 1e-8) & (z.min(axis=1) >= -1e-8)):
+        # A rank-deficient Jacobian at a root marks a continuum of roots on
+        # this support, and the root is reported as a family sample. After
+        # the first root only other regular roots are added, so a continuum
+        # gives at most one sample.
+        degenerate = bool(np.linalg.matrix_rank(jac[k]) < z.shape[1])
+        if kept and (degenerate or (np.abs(z[kept] - z[k]).max(axis=1) <= DEDUP_TOL).any()):
+            continue
+        kept.append(k)
+        probs = [np.clip(p, 0.0, None) for p in np.split(z[k], np.cumsum(sizes)[:-1])]
+        if all(p.sum() > 0 for p in probs):
+            vectors = [_embed(m, t, p / p.sum()) for m, t, p in zip(counts, supports, probs)]
+            out.append((vectors, degenerate))
+    return out
 
 
 def support_enumeration(
@@ -779,9 +777,8 @@ def support_enumeration(
     more players a combination in which some in-support strategy is
     conditionally dominated by more than a margin over ``tol`` is skipped, as
     none of its candidates could pass validation; each other combination
-    gets Newton's method on the exact Jacobian from 17 fixed starts and
-    keeps the first root found, so equilibria that these starts miss, and
-    further equilibria on one combination, are not found.
+    gets Newton's method on the exact Jacobian from 17 fixed starts, so
+    equilibria that these starts miss are not found.
     """
     _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts
