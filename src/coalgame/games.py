@@ -16,6 +16,7 @@ action id) pairs, and shared by the solver.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Hashable, Mapping, Sequence
@@ -24,16 +25,13 @@ import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
 from .partitions import (
+    DEFAULT_BUDGET,
     Coalition,
     Partition,
     PartitionFamily,
     count_partitions,
     enumerate_partitions,
 )
-
-#: Ceiling on exhaustive enumerations (profiles or support combinations)
-#: unless the caller overrides it. Checked before work starts, never after.
-DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -340,7 +338,7 @@ class Game:
     def realized_index(self) -> np.ndarray:
         """Index into ``family`` of the realized partition, per pure profile;
         -1 where the rule leaves the family (only possible for broken rules)."""
-        _check_addressable(self.profile_count, np.int32, "realized_index")
+        _check_addressable(self.strategy_counts, np.int32, "realized_index")
         realized, _, expand = self._cell_grid
         out = realized[expand]
         out.flags.writeable = False
@@ -354,7 +352,9 @@ class Game:
         and the rule reads only each announcement's key, so strategies in one
         (key, action id) cell pay alike; this expands the cell grid's payoffs,
         where a partition outside the family is looked up by its own key."""
-        _check_addressable(self.profile_count * self.n, np.float64, "payoff_tensor")
+        _check_addressable(
+            self.strategy_counts + (self.n,), np.float64, "payoff_tensor"
+        )
         _, payoffs, expand = self._cell_grid
         out = payoffs[expand]
         out.flags.writeable = False
@@ -410,11 +410,18 @@ def _check_budget(required: int, budget: int | None, what: str) -> None:
         )
 
 
-def _check_addressable(size: int, dtype, what: str) -> None:
-    """Raise ``BudgetExceededError`` before allocating an array of ``size``
-    elements of ``dtype`` that numpy cannot address, whatever the budget
-    allows."""
-    nbytes = size * np.dtype(dtype).itemsize
+def _check_addressable(shape: tuple[int, ...], dtype, what: str) -> None:
+    """Raise before allocating an array of ``shape`` and ``dtype`` that numpy
+    cannot hold, whatever the budget allows: ``InvalidParameterError`` for
+    more axes than numpy supports (32 before numpy 2, 64 since; one per
+    player), ``BudgetExceededError`` for more bytes than it can address."""
+    try:
+        np.empty((0,) * len(shape))
+    except ValueError as exc:
+        raise InvalidParameterError(
+            f"{what} needs an array of {len(shape)} axes: {exc}"
+        ) from None
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
     limit = int(np.iinfo(np.intp).max)
     if nbytes > limit:
         raise BudgetExceededError(
@@ -525,7 +532,6 @@ def make_game(
     epsilon_partition: str | None = None,
     epsilon_bonus: float | Sequence[float] = 0.0,
     name: str = "",
-    max_n: int = 16,
 ) -> Game:
     """Assemble a game from label-level data.
 
@@ -538,7 +544,7 @@ def make_game(
 
     players = tuple(players)
     n = len(players)
-    family = enumerate_partitions(n, K, max_n=max_n)
+    family = enumerate_partitions(n, K)
 
     def labels_for(partition: Partition) -> tuple[str, ...]:
         if isinstance(action_labels, Mapping):

@@ -170,6 +170,8 @@ def parse_spec(text: str) -> GameSpec:
         kv = raw["K"]
         if isinstance(kv, bool) or not isinstance(kv, int):
             raise _fail("K must be an integer", "$.K")
+        if not 1 <= kv <= n:
+            raise _fail(f"need 1 <= K <= {n}, got {kv}", "$.K")
         k_min = k_max = kv
     else:
         kr = raw["K_range"]
@@ -180,10 +182,10 @@ def parse_spec(text: str) -> GameSpec:
         ):
             raise _fail("K_range must be [min, max] integers", "$.K_range")
         k_min, k_max = kr
-    if not 1 <= k_min <= k_max <= n:
-        raise _fail(
-            f"need 1 <= K_min <= K_max <= {n}, got {k_min}..{k_max}", "$.K_range"
-        )
+        if not 1 <= k_min <= k_max <= n:
+            raise _fail(
+                f"need 1 <= K_min <= K_max <= {n}, got {k_min}..{k_max}", "$.K_range"
+            )
 
     rule = raw.get("rule")
     if rule not in RULES:

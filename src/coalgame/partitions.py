@@ -18,11 +18,12 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .errors import InvalidParameterError
+from .errors import BudgetExceededError, InvalidParameterError
 
-#: Enumeration refuses player counts above this unless the caller raises the
-#: cap explicitly; profile enumeration downstream is exponential in n.
-DEFAULT_MAX_PLAYERS = 16
+#: Ceiling on exhaustive enumerations: on partition families always, on
+#: profiles or support combinations unless the caller overrides it. Checked
+#: before work starts, never after.
+DEFAULT_BUDGET = 1_000_000
 
 
 @dataclass(frozen=True, order=True)
@@ -176,41 +177,57 @@ def _check_n_k(n: int, K: int, *, min_n: int = 2) -> None:
         raise InvalidParameterError(f"max block size K={K} exceeds player count n={n}")
 
 
+def _counts(n: int, K: int) -> Iterator[int]:
+    """``a(0), a(1), ..., a(n)``: the number of partitions of ``m`` players
+    with block sizes at most ``K``, from the recurrence
+    ``a(m) = sum_{j=1..min(K,m)} C(m-1, j-1) * a(m-j)`` with ``a(0) = 1``:
+    the block containing the first element has size j, and its other j-1
+    members are chosen from the remaining m-1 elements. The ``j = 1`` term is
+    ``a(m-1)``, so the sequence never decreases."""
+    a = [1]
+    yield 1
+    for m in range(1, n + 1):
+        a.append(
+            sum(math.comb(m - 1, j - 1) * a[m - j] for j in range(1, min(K, m) + 1))
+        )
+        yield a[m]
+
+
 def count_partitions(n: int, K: int) -> int:
     """Number of partitions of ``n`` players with block sizes at most ``K``.
 
-    Computed from the recurrence ``a(m) = sum_{j=1..min(K,m)} C(m-1, j-1) * a(m-j)``
-    with ``a(0) = 1``: the block containing the first element has size j, and
-    its other j-1 members are chosen from the remaining m-1 elements. This is
-    an independent counting oracle; it never enumerates.
+    An independent counting oracle (see ``_counts``); it never enumerates.
     """
     _check_n_k(n, K, min_n=1)
-    a = [0] * (n + 1)
-    a[0] = 1
-    for m in range(1, n + 1):
-        a[m] = sum(
-            math.comb(m - 1, j - 1) * a[m - j] for j in range(1, min(K, m) + 1)
-        )
-    return a[n]
+    return list(_counts(n, K))[-1]
 
 
-def enumerate_partitions(
-    n: int, K: int, *, max_n: int = DEFAULT_MAX_PLAYERS
-) -> PartitionFamily:
+def enumerate_partitions(n: int, K: int) -> PartitionFamily:
     """Enumerate every partition of ``{0..n-1}`` with block sizes at most ``K``.
 
     Order is lexicographic by restricted growth string: element t joins
     existing blocks in order of creation before opening a new block. Blocks
     are created in order of their smallest member, so each emitted partition
     is already canonical. Two calls with equal arguments return identical
-    families.
+    families. Families of more than ``DEFAULT_BUDGET`` partitions raise
+    ``BudgetExceededError`` before any is built. The count stops at the first
+    ``m <= n`` whose family is over the budget, and ``required`` is that
+    family's size: a lower bound, exact when ``m = n``.
     """
     _check_n_k(n, K)
-    if n > max_n:
-        raise InvalidParameterError(
-            f"n={n} exceeds the safety cap max_n={max_n}; pass a larger max_n "
-            "to override (downstream profile enumeration is exponential in n)"
-        )
+    for m, count in enumerate(_counts(n, K)):
+        if count > DEFAULT_BUDGET:
+            size = f"{count}" if m == n else f"at least {count} (as P(n={m}, K={K}))"
+            raise BudgetExceededError(
+                f"P(n={n}, K={K}) has {size} partitions, over the budget of "
+                f"{DEFAULT_BUDGET}",
+                required=count,
+                budget=DEFAULT_BUDGET,
+            )
+    if K == 1:
+        # One partition. The walk below would scan every full block for each
+        # player, O(n^2), and recurse n deep; K >= 2 keeps n below 14 here.
+        return PartitionFamily(n=n, K=K, partitions=(Partition.singletons(n),))
     out: list[Partition] = []
     blocks: list[list[int]] = []
 

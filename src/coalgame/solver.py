@@ -7,9 +7,10 @@ expected utility never exceeds the best pure deviation. Pure equilibria are
 read off ``_pure_regret_arrays``, which holds every pure profile's gain from
 each unilateral pure deviation. The support search covers only the support
 combinations in which some player mixes; each of its candidates is validated
-with ``is_equilibrium`` before it is reported. On three or more players it
-skips each combination with a conditionally dominated in-support strategy,
-and solves the others' indifference systems by Newton's method on the exact
+with ``is_equilibrium`` before it is reported. Two players' indifference
+systems are linear: ``_solve_stack`` solves them in stacks. On three or more
+players it skips each combination with a conditionally dominated in-support
+strategy, and solves the others' systems by Newton's method on the exact
 Jacobian from the uniform point and 16 fixed interior points. The reported
 ``max_regret`` is the largest improvement any pure deviation achieves
 (floored at zero).
@@ -369,8 +370,8 @@ def _distinct(profiles: Sequence[MixedProfile]) -> list[int]:
 
 def _pure_regret_arrays(game: Game, tol: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per pure profile: worst-player regret, weak mask, strict mask."""
-    _check_addressable(game.profile_count, np.float64, "enumerate_pure_equilibria")
     counts = game.strategy_counts
+    _check_addressable(counts, np.float64, "enumerate_pure_equilibria")
     weak = np.ones(counts, dtype=bool)
     strict = np.ones(counts, dtype=bool)
     regret = np.zeros(counts, dtype=np.float64)
@@ -436,50 +437,6 @@ def _support_count(m: int, max_size: int) -> int:
     return sum(math.comb(m, size) for size in range(1, max_size + 1))
 
 
-def _residual_ok(matrix: np.ndarray, solution: np.ndarray, rhs: np.ndarray) -> bool:
-    scale = max(1.0, float(np.abs(matrix).max()))
-    return float(np.abs(matrix @ solution - rhs).max()) <= 1e-9 * scale
-
-
-def _accept(
-    matrix: np.ndarray, solution: np.ndarray, rhs: np.ndarray
-) -> np.ndarray | None:
-    """The acceptance checks on a solved indifference system: residual at
-    most 1e-9 * scale, entries at least -1e-9 and positive mass. Returns the
-    normalized mixture, or None."""
-    if not _residual_ok(matrix, solution, rhs):
-        return None
-    if solution.min() < -1e-9:
-        return None
-    solution = np.clip(solution, 0.0, None)
-    total = solution.sum()
-    if total <= 0:
-        return None
-    return solution / total
-
-
-def _solve_indifference(matrix: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray | None, bool]:
-    """Solve an indifference system; returns (solution or None, degenerate).
-
-    Square nonsingular systems are solved exactly; singular or rectangular
-    ones fall back to least squares, and rank deficiency marks the support as
-    carrying a continuum of solutions (the returned point is one sample).
-    """
-    rows, cols = matrix.shape
-    solution = None
-    if rows == cols:
-        try:
-            solution = np.linalg.solve(matrix, rhs)
-        except np.linalg.LinAlgError:
-            solution = None
-    if solution is None or not np.all(np.isfinite(solution)):
-        solution, _, rank, _ = np.linalg.lstsq(matrix, rhs, rcond=None)
-        degenerate = rank < cols
-    else:
-        degenerate = np.linalg.matrix_rank(matrix) < cols
-    return _accept(matrix, solution, rhs), bool(degenerate)
-
-
 def _indifference_systems(
     a: np.ndarray, b: np.ndarray, t0: np.ndarray, t1: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -504,56 +461,59 @@ def _indifference_systems(
     return m_y, m_x
 
 
-def _screen_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Screen a stack of indifference systems (right-hand side: last unit
-    vector) with stacked linear algebra.
-
-    Returns ``(solutions, rejected)``. Row k of ``solutions`` holds the
-    stacked solve of a full-rank square system, bit-for-bit the solution
-    ``_solve_indifference`` computes for it, and is NaN where only its scalar
-    steps can decide: a rank-deficient or rectangular system, or one whose
-    stacked solve failed. ``rejected`` marks the systems
-    ``_solve_indifference`` is sure to reject: a stacked solution with an
-    entry below -1e-9, or an overdetermined system whose least-squares
-    residual exceeds 1e-6 * scale in 2-norm. The residual of any solution is
-    at least that large, and its largest entry at least its 2-norm over
-    sqrt(rows), so the screen sits over 1000 times above the 1e-9 * scale
-    acceptance bound. An underdetermined system is never rejected here: with
-    its rows independent it is always consistent.
+def _solve_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve a stack of indifference systems (right-hand side: last unit
+    vector) into ``(mixtures, ok, degenerate)``. A full-rank square system is
+    solved by LU. Every other, or one whose LU solution is not finite, takes
+    the SVD's minimum-norm least-squares solution, as ``lstsq(rcond=None)``
+    gives; the whole stack does if LU finds a matrix exactly singular.
+    ``degenerate`` marks a rank below the column count by ``matrix_rank``'s
+    cutoff: a continuum, of which this is a sample. ``ok`` marks a solution
+    with residual at most 1e-9 * scale in every entry (scale: the largest
+    entry in absolute value, at least 1), entries at least -1e-9 and positive
+    mass; ``mixtures`` holds it clipped at zero and normalized.
     """
     n, rows, cols = matrices.shape
-    solutions = np.full((n, cols), np.nan)
-    if rows == cols:
-        full = np.linalg.matrix_rank(matrices) == cols
-        if full.any():
-            rhs = np.zeros((int(full.sum()), rows, 1))
-            rhs[:, -1] = 1.0
-            try:
-                solutions[full] = np.linalg.solve(matrices[full], rhs)[..., 0]
-            except np.linalg.LinAlgError:
-                pass
-            solutions[~np.isfinite(solutions).all(axis=1)] = np.nan
-        return solutions, solutions.min(axis=1) < -1e-9
-    if rows < cols:
-        return solutions, np.zeros(n, dtype=bool)
-    # The part of the right-hand side outside the span of the reduced QR
-    # factor's columns; that span contains the range, so this is at most the
-    # least-squares residual.
-    q = np.linalg.qr(matrices)[0]
-    residual = -(q @ q[:, -1, :, None])[..., 0]
-    residual[:, -1] += 1.0
+    unit = np.eye(rows)[-1]
     scale = np.maximum(1.0, np.abs(matrices).max(axis=(1, 2)))
-    return solutions, np.linalg.norm(residual, axis=1) > 1e-6 * scale
-
-
-def _finish(matrix: np.ndarray, solution: np.ndarray) -> tuple[np.ndarray | None, bool]:
-    """``_solve_indifference`` for one system of a screened stack: the
-    acceptance checks on a stacked solution, the scalar steps otherwise."""
-    rhs = np.zeros(len(matrix))
-    rhs[-1] = 1.0
-    if np.isnan(solution[0]):
-        return _solve_indifference(matrix, rhs)
-    return _accept(matrix, solution, rhs), False
+    live = np.arange(n)
+    if rows > cols:
+        # Skip the SVD where the least-squares residual exceeds 1e-6 * scale
+        # in 2-norm: every solution leaves an entry over 1e-6 * scale /
+        # sqrt(rows), above the acceptance bound while rows < 10**6. The part
+        # of the right-hand side outside the span of the reduced QR factor's
+        # columns is at most that residual, as the span contains the range.
+        q = np.linalg.qr(matrices)[0]
+        outside = unit - (q @ q[:, -1, :, None])[..., 0]
+        live = np.flatnonzero(np.linalg.norm(outside, axis=1) <= 1e-6 * scale)
+    m = matrices[live]
+    u, s, vh = np.linalg.svd(m, full_matrices=False)
+    kept = s > s[:, :1] * max(rows, cols) * np.finfo(np.float64).eps
+    # x = V diag(1/s) U^T e_last, over the kept singular values.
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    x = ((u[:, -1, :] * inverse)[:, None, :] @ vh)[:, 0]
+    degenerate = np.zeros(n, dtype=bool)
+    degenerate[live] = kept.sum(axis=1) < cols
+    if rows == cols:
+        full = np.flatnonzero(~degenerate[live])
+        rhs = np.broadcast_to(unit[:, None], (full.size, rows, 1))
+        try:
+            lu = np.linalg.solve(m[full], rhs)[..., 0]
+            x[full] = np.where(np.isfinite(lu).all(axis=1, keepdims=True), lu, x[full])
+        except np.linalg.LinAlgError:
+            pass  # one exactly singular matrix: the stack keeps the SVD's
+    mass = np.clip(x, 0.0, None)
+    total = mass.sum(axis=1)
+    accept = (
+        (np.abs((m @ x[..., None])[..., 0] - unit).max(axis=1) <= 1e-9 * scale[live])
+        & (x.min(axis=1) >= -1e-9)
+        & (total > 0)
+    )
+    ok = np.zeros(n, dtype=bool)
+    ok[live] = accept
+    mixtures = np.zeros((n, cols))
+    mixtures[ok] = mass[accept] / total[accept, None]
+    return mixtures, ok, degenerate
 
 
 def _two_player_mixed_candidates(
@@ -565,13 +525,12 @@ def _two_player_mixed_candidates(
     of two or more strategies, keyed by the pair.
 
     Pairs are solved one stack per (|t0|, |t1|) bucket, in chunks of at most
-    ``STACK_FLOATS`` floats per matrix stack. A pair yields the candidate
-    ``_solve_indifference`` gives for both its systems, with the same
-    ``degenerate`` flag; only systems the screen cannot settle take its
-    scalar steps.
+    ``STACK_FLOATS`` floats per matrix stack, by ``_solve_stack``. The
+    taller of a chunk's two systems is solved first, and its partner only
+    on the pairs the first accepts. A pair whose two systems are both
+    accepted yields a candidate, ``degenerate`` if either system is.
     """
-    a = game.payoff_tensor[..., 0]
-    b = game.payoff_tensor[..., 1]
+    a, b = np.moveaxis(game.payoff_tensor, -1, 0)
     m0, m1 = game.strategy_counts
     # Supports come in increasing size, so each group holds one size.
     groups0 = [list(g) for _, g in itertools.groupby(supports0, len)]
@@ -588,18 +547,16 @@ def _two_player_mixed_candidates(
             for start in range(0, pairs, step):
                 i0, i1 = np.divmod(np.arange(start, min(start + step, pairs)), len(group1))
                 m_y, m_x = _indifference_systems(a, b, rows0[i0], rows1[i1])
-                sol_y, rejected_y = _screen_stack(m_y)
-                sol_x, rejected_x = _screen_stack(m_x)
-                for k in np.flatnonzero(~(rejected_y | rejected_x)):
-                    y, degen_y = _finish(m_y[k], sol_y[k])
-                    if y is None:
-                        continue
-                    x, degen_x = _finish(m_x[k], sol_x[k])
-                    if x is None:
-                        continue
+                order = 1 if s0 >= s1 else -1  # m_y has s0 rows, m_x has s1
+                first, second = (m_y, m_x)[::order]
+                mix1, ok1, degen1 = _solve_stack(first)
+                hit = np.flatnonzero(ok1)
+                mix2, ok2, degen2 = _solve_stack(second[hit])
+                hit = hit[ok2]
+                y, x = (mix1[hit], mix2[ok2])[::order]
+                for k, xk, yk, degen in zip(hit, x, y, degen1[hit] | degen2[ok2]):
                     t0, t1 = group0[i0[k]], group1[i1[k]]
-                    vectors = [_embed(m0, t0, x), _embed(m1, t1, y)]
-                    found[(t0, t1)] = (vectors, degen_y or degen_x)
+                    found[(t0, t1)] = ([_embed(m0, t0, xk), _embed(m1, t1, yk)], bool(degen))
     return found
 
 
@@ -771,14 +728,16 @@ def support_enumeration(
     deduplicated within per-coordinate distance 1e-6. A solution may still
     be pure once clipped. Singular systems are sampled rather than skipped:
     the sample is reported with ``degenerate=True`` to mark a continuum of
-    equilibria on that support. Two players' systems are solved in stacks by
-    support size; every candidate is still validated in combination order,
-    so the first of a cluster of near-duplicates is the one kept. On three or
-    more players a combination in which some in-support strategy is
-    conditionally dominated by more than a margin over ``tol`` is skipped, as
-    none of its candidates could pass validation; each other combination
-    gets Newton's method on the exact Jacobian from 17 fixed starts, so
-    equilibria that these starts miss are not found.
+    equilibria on that support. Two players' linear systems are solved in
+    stacks by support size, each by one path (``_solve_stack``: LU if square
+    and of full rank, SVD least squares otherwise); every candidate is still
+    validated in combination order, so the first of a cluster of
+    near-duplicates is the one kept. On three or more players a combination
+    in which some in-support strategy is conditionally dominated by more than
+    a margin over ``tol`` is skipped, as none of its candidates could pass
+    validation; each other combination gets Newton's method on the exact
+    Jacobian from 17 fixed starts, so equilibria that these starts miss are
+    not found.
     """
     _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts

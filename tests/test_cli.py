@@ -109,6 +109,21 @@ def test_partitions_bad_parameters_exit_two():
     assert "error" in err
 
 
+@pytest.mark.parametrize("n", ["16", "100000"])
+def test_partitions_over_the_budget_exit_three(n):
+    # The count stops at P(12, 12) = 4 213 597 partitions, over the budget,
+    # before any is built: Bell(16) is 10 480 142 147, Bell(100000) far more.
+    code, out, err = _run("partitions", n, n)
+    assert code == 3
+    assert out == "" and "at least 4213597" in err
+
+
+def test_partitions_of_many_players_into_singletons():
+    code, out, _ = _run("partitions", "2000", "1")
+    assert code == 0
+    assert out.splitlines() == ["|".join(map(str, range(2000))), "count=1"]
+
+
 def test_examples_lists_bundled_names():
     code, out, _ = _run("examples")
     assert code == 0
@@ -291,6 +306,15 @@ def test_unaddressable_game_exits_three_without_a_traceback(tmp_path, command):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert "more than numpy can address" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["solve", "validate"])
+def test_more_players_than_numpy_axes_exits_two(tmp_path, command):
+    players = [f"p{i}" for i in range(2000)]
+    spec = _write_spec(tmp_path / "many.spec", players, 1, [])
+    code, _, err = _run(command, str(spec))
+    assert code == 2
+    assert err.startswith("error: ") and "2000 axes" in err
 
 
 def test_bad_spec_file_exits_two(tmp_path):

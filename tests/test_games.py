@@ -236,6 +236,18 @@ def test_unaddressable_tensors_exceed_the_budget_before_any_allocation():
     assert "_cell_grid" not in vars(game)
 
 
+def test_more_players_than_numpy_axes_are_refused_before_any_allocation():
+    game = cg.make_game([f"p{i}" for i in range(70)], K=1, partition_payoffs={})
+    for build in (
+        lambda: game.realized_index,
+        lambda: game.payoff_tensor,
+        lambda: cg.enumerate_pure_equilibria(game),
+    ):
+        with pytest.raises(cg.InvalidParameterError, match="axes"):
+            build()
+    assert "_cell_grid" not in vars(game)
+
+
 def _profiles(game):
     """Every pure profile with its indices, in lexicographic index order."""
     for indices in itertools.product(*(range(m) for m in game.strategy_counts)):

@@ -152,6 +152,9 @@ def test_bad_k_range_rejected():
     _expect_error(obj, "K_min")
     obj["K_range"] = [1, 3]
     _expect_error(obj, "K_min")
+    del obj["K_range"]
+    obj["K"] = 3
+    _expect_error(obj, "$.K: need 1 <= K <= 2, got 3")
 
 
 def test_unknown_action_label_in_row_rejected():

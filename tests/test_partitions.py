@@ -1,6 +1,7 @@
 import pytest
 
 from coalgame import (
+    BudgetExceededError,
     Coalition,
     InvalidParameterError,
     Partition,
@@ -82,9 +83,17 @@ def test_enumerate_rejects_bad_parameters(n, K):
 
 
 def test_enumerate_refuses_huge_n_by_default():
-    with pytest.raises(InvalidParameterError):
-        enumerate_partitions(17, 1)
-    assert len(enumerate_partitions(17, 1, max_n=17)) == 1
+    # The cap is the family's size, not the player count.
+    assert len(enumerate_partitions(17, 1)) == 1
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_partitions(12, 12)
+    assert err.value.required == count_partitions(12, 12) == 4_213_597
+    # The count stops at the first family over the budget: a lower bound.
+    with pytest.raises(BudgetExceededError) as err:
+        enumerate_partitions(10**5, 10**5)
+    assert err.value.required == 4_213_597
+    (singletons,) = enumerate_partitions(10**5, 1)
+    assert singletons == Partition.singletons(10**5)
 
 
 def test_count_rejects_bad_parameters():

@@ -373,11 +373,11 @@ _small_int_games = st.integers(2, 4).flatmap(
 def _per_pair_support_enumeration(
     game, max_support=None, tol=cg.DEFAULT_TOL, pure=False
 ):
-    """Reference: one pair of ``np.ix_`` systems and two scalar
-    ``_solve_indifference`` calls per support pair, validated and
-    deduplicated as ``support_enumeration`` does. Pairs of two singletons
-    are skipped unless ``pure``; with it, each weak pure profile is also a
-    candidate of its pair."""
+    """Reference: one pair of ``np.ix_`` systems per support pair, each
+    solved by ``_solve_stack`` as a stack of one, validated and deduplicated
+    as ``support_enumeration`` does. Pairs of two singletons are skipped
+    unless ``pure``; with it, each weak pure profile is also a candidate of
+    its pair."""
     counts = game.strategy_counts
     a, b = game.payoff_tensor[..., 0], game.payoff_tensor[..., 1]
     _, weak, _ = solver._pure_regret_arrays(game, tol)
@@ -399,13 +399,13 @@ def _per_pair_support_enumeration(
                 [b[np.ix_(t0, [s])][:, 0] - b[np.ix_(t0, [t1[0]])][:, 0] for s in t1[1:]]
                 + [np.ones(len(t0))]
             )
-            y, degen_y = solver._solve_indifference(m_y, np.eye(len(t0))[-1])
-            x, degen_x = solver._solve_indifference(m_x, np.eye(len(t1))[-1])
-            if x is None or y is None:
+            y, ok_y, degen_y = solver._solve_stack(m_y[None])
+            x, ok_x, degen_x = solver._solve_stack(m_x[None])
+            if not (ok_x[0] and ok_y[0]):
                 continue
-            vectors[0][list(t0)] = x
-            vectors[1][list(t1)] = y
-            degenerate = degen_y or degen_x
+            vectors[0][list(t0)] = x[0]
+            vectors[1][list(t1)] = y[0]
+            degenerate = bool(degen_y[0] or degen_x[0])
         try:
             profile = cg.MixedProfile.from_vectors(vectors)
         except cg.InvalidParameterError:
@@ -583,44 +583,93 @@ def test_n_player_search_tries_only_mixed_combinations(monkeypatch):
     assert {((0,), (0,), (0,)), ((1,), (1,), (1,))} <= {r.support for r in results}
 
 
-def _screened_rectangular_systems(game):
-    """(matrix, rejected) for every rectangular indifference system."""
+def _bucket_stacks(game):
+    """Both players' indifference stacks of every (|t0|, |t1|) bucket in
+    which some support has two or more strategies."""
     a, b = game.payoff_tensor[..., 0], game.payoff_tensor[..., 1]
     m0, m1 = game.strategy_counts
     for s0, s1 in itertools.product(range(1, m0 + 1), range(1, m1 + 1)):
-        if s0 == s1:
+        if s0 == s1 == 1:
             continue
         pairs = list(itertools.product(
             itertools.combinations(range(m0), s0), itertools.combinations(range(m1), s1)
         ))
         t0 = np.array([p[0] for p in pairs])
         t1 = np.array([p[1] for p in pairs])
-        for stack in solver._indifference_systems(a, b, t0, t1):
-            _, rejected = solver._screen_stack(stack)
-            yield from zip(stack, rejected)
+        yield from solver._indifference_systems(a, b, t0, t1)
 
 
-def _assert_screen_is_conservative(game):
-    rejected = 0
-    for matrix, skip in _screened_rectangular_systems(game):
-        if skip:
-            rejected += 1
-            assert solver._solve_indifference(matrix, np.eye(len(matrix))[-1])[0] is None
-    return rejected
+def _scalar_solve(matrix):
+    """The acceptance rule on one system solved by scalar ``lstsq``:
+    (normalized mixture or None, rank deficient by ``matrix_rank``)."""
+    rhs = np.eye(len(matrix))[-1]
+    solution = np.linalg.lstsq(matrix, rhs, rcond=None)[0]
+    degenerate = np.linalg.matrix_rank(matrix) < matrix.shape[1]
+    scale = max(1.0, float(np.abs(matrix).max()))
+    if np.abs(matrix @ solution - rhs).max() > 1e-9 * scale or solution.min() < -1e-9:
+        return None, degenerate
+    solution = np.clip(solution, 0.0, None)
+    if solution.sum() <= 0:
+        return None, degenerate
+    return solution / solution.sum(), degenerate
+
+
+def _assert_stack_matches_scalar_solves(game):
+    for stack in _bucket_stacks(game):
+        mixtures, ok, degenerate = solver._solve_stack(stack)
+        rows, cols = stack.shape[1:]
+        for matrix, mixture, accepted, degen in zip(stack, mixtures, ok, degenerate):
+            expected, expected_degen = _scalar_solve(matrix)
+            assert accepted == (expected is not None)
+            # A tall system the screen rejects gets no rank.
+            if accepted or rows <= cols:
+                assert degen == expected_degen
+            if accepted:
+                assert np.abs(mixture - expected).max() <= 1e-12
+
+
+def test_solve_stack_matches_scalar_lstsq():
+    for m in range(2, 6):
+        for seed in range(3):
+            _assert_stack_matches_scalar_solves(_generic_game(m, seed))
 
 
 @_hypothesis_settings
 @given(_small_int_games)
-def test_screen_rejects_only_systems_the_scalar_solve_rejects(game):
-    _assert_screen_is_conservative(game)
+def test_solve_stack_matches_scalar_lstsq_on_tied_payoffs(game):
+    _assert_stack_matches_scalar_solves(game)
 
 
-def test_screen_rejects_inconsistent_generic_systems():
-    game = _generic_game(5, 1)
-    overdetermined = sum(
-        len(matrix) > matrix.shape[1] for matrix, _ in _screened_rectangular_systems(game)
-    )
-    assert _assert_screen_is_conservative(game) == overdetermined
+def _tall_stacks(game):
+    return (stack for stack in _bucket_stacks(game) if stack.shape[1] > stack.shape[2])
+
+
+@_hypothesis_settings
+@given(_small_int_games)
+def test_screen_rejects_only_systems_the_svd_solve_rejects(game):
+    for stack in _tall_stacks(game):
+        rows, cols = stack.shape[1:]
+        # Zero columns make the stack square, so the SVD solve runs without
+        # the screen; the solutions only gain zero entries.
+        square = np.pad(stack, ((0, 0), (0, 0), (0, rows - cols)))
+        screened = solver._solve_stack(stack)[1]
+        assert not (solver._solve_stack(square)[1] & ~screened).any()
+
+
+def test_screen_rejects_inconsistent_generic_systems(monkeypatch):
+    svd_stacks = []
+    svd = np.linalg.svd
+
+    def recorded(matrices, *args, **kwargs):
+        svd_stacks.append(len(matrices))
+        return svd(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    tall = list(_tall_stacks(_generic_game(5, 1)))
+    for stack in tall:
+        assert not solver._solve_stack(stack)[1].any()
+    # The screen settles every overdetermined system: none reaches the SVD.
+    assert len(svd_stacks) == len(tall) and not any(svd_stacks)
 
 
 def test_result_flags_are_python_bools(pennies, pd2, pd_ext):
