@@ -9,9 +9,10 @@ each unilateral pure deviation. The support search covers only the support
 combinations in which some player mixes; each of its candidates is validated
 with ``is_equilibrium`` before it is reported. Two players' indifference
 systems are linear: ``_solve_stack`` solves them in stacks. On three or more
-players it skips each combination with a conditionally dominated in-support
-strategy, and solves the others' systems by Newton's method on the exact
-Jacobian from the uniform point and 16 fixed interior points. The reported
+players the combinations are stacked by support-size signature: each stack
+drops the combinations with a conditionally dominated in-support strategy,
+and solves the others' systems in one Newton run on the exact Jacobian, from
+the uniform point and 16 fixed interior points per combination. The reported
 ``max_regret`` is the largest improvement any pure deviation achieves
 (floored at zero).
 
@@ -39,9 +40,10 @@ DEFAULT_TOL = 1e-9
 EU_CONSISTENCY_TOL = 1e-10
 #: Candidate equilibria closer than this per coordinate are merged.
 DEDUP_TOL = 1e-6
-#: Most floats in one stack of two-player indifference matrices; larger
-#: support-size buckets are solved in chunks, so memory stays bounded
-#: whatever the budget.
+#: Most floats in one stack of a support search: the two-player indifference
+#: matrices, or the n-player Newton Jacobians and payoff sub-tensors. Larger
+#: support-size buckets or signatures are solved in chunks, so memory stays
+#: bounded whatever the budget.
 STACK_FLOATS = 1 << 18
 _NORM_TOL = 1e-12
 
@@ -520,9 +522,10 @@ def _two_player_mixed_candidates(
     game: Game,
     supports0: Sequence[tuple[int, ...]],
     supports1: Sequence[tuple[int, ...]],
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[list[np.ndarray], bool]]:
+) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[list[np.ndarray], bool]]]:
     """Candidates of a two-player game on every support pair with a support
-    of two or more strategies, keyed by the pair.
+    of two or more strategies, keyed by the pair (at most one each); pairs
+    without one are left out.
 
     Pairs are solved one stack per (|t0|, |t1|) bucket, in chunks of at most
     ``STACK_FLOATS`` floats per matrix stack, by ``_solve_stack``. The
@@ -556,26 +559,40 @@ def _two_player_mixed_candidates(
                 y, x = (mix1[hit], mix2[ok2])[::order]
                 for k, xk, yk, degen in zip(hit, x, y, degen1[hit] | degen2[ok2]):
                     t0, t1 = group0[i0[k]], group1[i1[k]]
-                    found[(t0, t1)] = ([_embed(m0, t0, xk), _embed(m1, t1, yk)], bool(degen))
+                    vectors = [_embed(m0, t0, xk), _embed(m1, t1, yk)]
+                    found[(t0, t1)] = [(vectors, bool(degen))]
     return found
 
 
-def _conditionally_dominated(
-    game: Game, supports: Sequence[tuple[int, ...]], tol: float
-) -> bool:
-    """Whether some player has an in-support strategy ``a`` and another
-    strategy ``a'`` (in the support or not) that pays more than ``a`` by
-    over ``margin = tol + 1e-6 * max(1, |u|max) * s`` against every profile
-    of the other players' supports. ``|u|max`` is the largest payoff, in
-    absolute value, of that player against those profiles, and ``s`` the
-    number of strategies in all the supports.
+def _combination_index(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Fancy index of a stack of support combinations: ``tables[j]`` holds
+    player j's strategies one row per combination (or one row for all), and
+    the index picks the stack of sub-tensors, combinations first."""
+    n = len(tables)
+    return tuple(
+        t.reshape((len(t),) + (1,) * j + (t.shape[1],) + (1,) * (n - 1 - j))
+        for j, t in enumerate(tables)
+    )
 
-    No candidate of ``_n_player_candidates`` on such a combination passes
-    the weak check. The candidate keeps the other players inside their
-    supports, so ``a'`` gains over ``a`` by more than ``margin`` against
-    their mixture too. The indifference system ties ``a`` to the player's
-    expected utility: its residual is at most 1e-8 and its entries at least
-    -1e-8 before clipping and normalization, which moves each other
+
+def _conditionally_dominated(
+    game: Game, tables: Sequence[np.ndarray], tol: float
+) -> np.ndarray:
+    """Per support combination of one size signature (row c of each
+    ``tables[i]`` is player i's support in combination c): whether some
+    player has an in-support strategy ``a`` and another strategy ``a'`` (in
+    the support or not) that pays more than ``a`` by over ``margin = tol +
+    1e-6 * max(1, |u|max) * s`` against every profile of the other players'
+    supports. ``|u|max`` is the largest payoff, in absolute value, of that
+    player against those profiles, and ``s`` the number of strategies in
+    all the supports.
+
+    No candidate of ``_n_player_mixed_candidates`` on such a combination
+    passes the weak check. The candidate keeps the other players inside
+    their supports, so ``a'`` gains over ``a`` by more than ``margin``
+    against their mixture too. The indifference system ties ``a`` to the
+    player's expected utility: its residual is at most 1e-8 and its entries
+    at least -1e-8 before clipping and normalization, which moves each other
     player's mixture by at most ``(2 |t_j| + 1) * 1e-8`` in 1-norm. So
     ``a`` falls short of the expected utility by at most about
     ``8e-8 * max(1, |u|max) * s``, and ``a'`` gains over it by more than
@@ -583,30 +600,32 @@ def _conditionally_dominated(
     skips the root solve (Porter, Nudelman and Shoham, GEB 2008).
     """
     counts = game.strategy_counts
-    size = sum(len(t) for t in supports)
-    for i, own in enumerate(supports):
-        axes = [range(m) if j == i else t for j, (m, t) in enumerate(zip(counts, supports))]
-        u = game.payoff_tensor[..., i][np.ix_(*axes)]
-        u = np.moveaxis(u, i, 0).reshape(counts[i], -1)
-        margin = tol + 1e-6 * max(1.0, float(np.abs(u).max())) * size
+    size = sum(t.shape[1] for t in tables)
+    dominated = np.zeros(len(tables[0]), dtype=bool)
+    for i, own in enumerate(tables):
+        axes = list(tables)
+        axes[i] = np.arange(counts[i])[None]
+        u = game.payoff_tensor[..., i][_combination_index(axes)]
+        u = np.moveaxis(u, i + 1, 1).reshape(len(own), counts[i], -1)
+        margin = tol + 1e-6 * np.maximum(1.0, np.abs(u).max(axis=(1, 2))) * size
         # Row a' and column a: the least a' gains over a on any profile.
-        least_gain = (u[:, None, :] - u[None, list(own), :]).min(axis=2)
-        if (least_gain > margin).any():
-            return True
-    return False
+        own_u = np.take_along_axis(u, own[:, :, None], axis=1)
+        least_gain = (u[:, :, None, :] - own_u[:, None, :, :]).min(axis=3)
+        dominated |= (least_gain > margin[:, None, None]).any(axis=(1, 2))
+    return dominated
 
 
 def _indifference_system(
     sub: np.ndarray, z: np.ndarray, sizes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and exact Jacobians of a support combination's indifference
-    system at each row of ``z``: the players' support weights, concatenated
-    (``sizes`` are the support sizes), against the payoff sub-tensor ``sub``.
-    Per player, the residuals are each in-support strategy's payoff minus
-    the first one's, then the weights' sum minus one. Payoffs are
-    multilinear: the block of player i's rows and j's columns is
-    ``sub[..., i]`` contracted with the weights of every player but i and j,
-    and i's payoff rows are that block times j's weights. Player i's
+    """Residuals and exact Jacobians of support combinations' indifference
+    systems at each row of ``z``: the players' support weights, concatenated
+    (``sizes`` are the support sizes), against row k's payoff sub-tensor
+    ``sub[k]``. Per player, the residuals are each in-support strategy's
+    payoff minus the first one's, then the weights' sum minus one. Payoffs
+    are multilinear: the block of player i's rows and j's columns is
+    ``sub[k, ..., i]`` contracted with the weights of every player but i and
+    j, and i's payoff rows are that block times j's weights. Player i's
     normalization row is ones on their own weights.
     """
     n = len(sizes)
@@ -622,7 +641,7 @@ def _indifference_system(
             if j == i:
                 continue
             others = [x for k in axes if k not in (i, j) for x in (probs[k], [n, k])]
-            pair = np.einsum(sub[..., i], axes, *others, [n, i, j])
+            pair = np.einsum(sub[..., i], [n] + axes, *others, [n, i, j])
             jac[:, rows, spans[j]] = pair[:, 1:] - pair[:, :1]
         j = (i + 1) % n  # any other player's block serves
         fun[:, rows] = (jac[:, rows, spans[j]] @ probs[j][..., None])[..., 0]
@@ -631,28 +650,44 @@ def _indifference_system(
     return fun, jac
 
 
+def _newton_steps(jac: np.ndarray, fun: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Newton steps ``-jac^-1 fun`` of a stack of rows. If some Jacobian is
+    exactly singular, each combination's rows (equal ``owner``, consecutive)
+    are solved alone, and a combination with a singular Jacobian takes the
+    pseudo-inverse on all of its rows, as it would solved by itself."""
+    try:
+        return np.linalg.solve(jac, -fun[:, :, None])[..., 0]
+    except np.linalg.LinAlgError:
+        if owner[0] != owner[-1]:
+            cuts = np.flatnonzero(np.diff(owner)) + 1
+            return np.concatenate([
+                _newton_steps(jac[rows], fun[rows], owner[rows])
+                for rows in np.split(np.arange(len(owner)), cuts)
+            ])
+        return (np.linalg.pinv(jac) @ -fun[:, :, None])[..., 0]
+
+
 def _newton(
-    sub: np.ndarray, z: np.ndarray, sizes: Sequence[int]
+    sub: np.ndarray, z: np.ndarray, sizes: Sequence[int], block: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton's method on ``_indifference_system`` from each row of ``z`` at
-    once. Each step is halved at most four times until the start's largest
-    residual falls; a start stops when it no longer falls, all after 50
-    steps. Returns the final points, largest residuals and Jacobians. An
-    overflowing step has a non-finite residual, which does not fall."""
+    once; each run of ``block`` consecutive rows is one combination's starts
+    (``_newton_steps``). Each step is halved at most four times until the
+    start's largest residual falls; a start stops when it no longer falls,
+    all after 50 steps. Returns the final points, largest residuals and
+    Jacobians. An overflowing step has a non-finite residual, which does not
+    fall."""
     with np.errstate(over="ignore", invalid="ignore"):
         fun, jac = _indifference_system(sub, z, sizes)
         worst = np.abs(fun).max(axis=1)
         live = np.arange(len(z))
         for _ in range(50):
-            try:
-                step = np.linalg.solve(jac[live], -fun[live, :, None])[..., 0]
-            except np.linalg.LinAlgError:
-                step = (np.linalg.pinv(jac[live]) @ -fun[live, :, None])[..., 0]
+            step = _newton_steps(jac[live], fun[live], live // block)
             moved = np.zeros(live.size, dtype=bool)
             for _ in range(5):
                 wait = np.flatnonzero(~moved)
                 trial = z[live[wait]] + step[wait]
-                trial_fun, trial_jac = _indifference_system(sub, trial, sizes)
+                trial_fun, trial_jac = _indifference_system(sub[live[wait]], trial, sizes)
                 trial_worst = np.abs(trial_fun).max(axis=1)
                 fell = trial_worst < worst[live[wait]]
                 rows = live[wait[fell]]
@@ -668,47 +703,79 @@ def _newton(
     return z, worst, jac
 
 
-def _n_player_candidates(
-    game: Game, supports: tuple[tuple[int, ...], ...], tol: float
-) -> list[tuple[list[np.ndarray], bool]]:
-    """Candidates on a support combination for three or more players, in
-    which some support has two or more strategies.
+def _n_player_mixed_candidates(
+    game: Game, supports: Sequence[Sequence[tuple[int, ...]]], tol: float
+) -> dict[tuple[tuple[int, ...], ...], list[tuple[list[np.ndarray], bool]]]:
+    """Candidates of a game of three or more players on every support
+    combination in which some support has two or more strategies, keyed by
+    the combination; combinations without one are left out.
 
-    A combination with a conditionally dominated in-support strategy
-    (``_conditionally_dominated``) has none. Otherwise ``_newton`` solves the
-    multilinear indifference system from the uniform point and 16 fixed
-    interior points. Each distinct root with residual at most 1e-8 and
-    entries at least -1e-8 is a candidate, in start order; candidates are
-    validated downstream. One start misses roots that MINPACK ``hybrj``
-    reaches from the uniform point, and a support can hold several
-    equilibria.
+    Combinations are taken one stack per support-size signature. The stack
+    first drops each combination with a conditionally dominated in-support
+    strategy (``_conditionally_dominated``). ``_newton`` then solves the
+    multilinear indifference systems of the rest from the uniform point and
+    16 fixed interior points each, in chunks of at most ``STACK_FLOATS``
+    Jacobian and sub-tensor floats. Each distinct root of a combination with
+    residual at most 1e-8 and entries at least -1e-8 is a candidate, in
+    start order; candidates are validated downstream. One start misses roots
+    that MINPACK ``hybrj`` reaches from the uniform point, and a support can
+    hold several equilibria.
     """
-    if _conditionally_dominated(game, supports, tol):
-        return []
-    sub = game.payoff_tensor[np.ix_(*supports)]
-    sizes = [len(t) for t in supports]
-    rng = np.random.default_rng(0)
-    starts = np.vstack([
-        np.concatenate([np.full(s, 1.0 / s) for s in sizes]),
-        np.concatenate([rng.dirichlet(np.ones(s), 16) for s in sizes], axis=1),
-    ])
-    z, worst, jac = _newton(sub, starts, sizes)
     counts = game.strategy_counts
-    out, kept = [], []
-    for k in np.flatnonzero((worst <= 1e-8) & (z.min(axis=1) >= -1e-8)):
-        # A rank-deficient Jacobian at a root marks a continuum of roots on
-        # this support, and the root is reported as a family sample. After
-        # the first root only other regular roots are added, so a continuum
-        # gives at most one sample.
-        degenerate = bool(np.linalg.matrix_rank(jac[k]) < z.shape[1])
-        if kept and (degenerate or (np.abs(z[kept] - z[k]).max(axis=1) <= DEDUP_TOL).any()):
+    # Supports come in increasing size, so each group holds one size.
+    groups = [[list(g) for _, g in itertools.groupby(s, len)] for s in supports]
+    found = {}
+    for signature in itertools.product(*groups):
+        sizes = [len(group[0]) for group in signature]
+        if max(sizes) == 1:
             continue
-        kept.append(k)
-        probs = [np.clip(p, 0.0, None) for p in np.split(z[k], np.cumsum(sizes)[:-1])]
-        if all(p.sum() > 0 for p in probs):
-            vectors = [_embed(m, t, p / p.sum()) for m, t, p in zip(counts, supports, probs)]
-            out.append((vectors, degenerate))
-    return out
+        tables = [np.array(group) for group in signature]
+        shape = [len(group) for group in signature]
+        total, cells = math.prod(shape), math.prod(sizes)
+        step = max(1, STACK_FLOATS // (max(counts) * cells))
+        alive = []
+        for start in range(0, total, step):
+            flat = np.arange(start, min(start + step, total))
+            chunk = [t[r] for t, r in zip(tables, np.unravel_index(flat, shape))]
+            alive.append(flat[~_conditionally_dominated(game, chunk, tol)])
+        alive = np.concatenate(alive)
+        rng = np.random.default_rng(0)
+        starts = np.vstack([
+            np.concatenate([np.full(s, 1.0 / s) for s in sizes]),
+            np.concatenate([rng.dirichlet(np.ones(s), 16) for s in sizes], axis=1),
+        ])
+        block, width = starts.shape
+        step = max(1, STACK_FLOATS // (block * (width * width + game.n * cells)))
+        for start in range(0, alive.size, step):
+            rows = np.unravel_index(alive[start : start + step], shape)
+            chunk = [t[r] for t, r in zip(tables, rows)]
+            sub = game.payoff_tensor[_combination_index(chunk)]
+            z, worst, jac = _newton(
+                np.repeat(sub, block, axis=0), np.tile(starts, (len(sub), 1)), sizes, block
+            )
+            roots = np.flatnonzero((worst <= 1e-8) & (z.min(axis=1) >= -1e-8))
+            # A rank-deficient Jacobian at a root marks a continuum of roots
+            # on its support, and the root is reported as a family sample.
+            # After a combination's first root only other regular roots are
+            # added, so a continuum gives at most one sample.
+            degenerate = np.linalg.matrix_rank(jac[roots]) < width
+            owners = itertools.groupby(zip(roots, degenerate), lambda root: root[0] // block)
+            for c, group in owners:
+                combo = tuple(g[r[c]] for g, r in zip(signature, rows))
+                out, kept = [], []
+                for k, degen in group:
+                    if kept and (
+                        degen or (np.abs(z[kept] - z[k]).max(axis=1) <= DEDUP_TOL).any()
+                    ):
+                        continue
+                    kept.append(k)
+                    probs = np.split(np.clip(z[k], 0.0, None), np.cumsum(sizes)[:-1])
+                    vectors = [
+                        _embed(m, t, p / p.sum()) for m, t, p in zip(counts, combo, probs)
+                    ]
+                    out.append((vectors, bool(degen)))
+                found[combo] = out
+    return found
 
 
 def support_enumeration(
@@ -732,12 +799,13 @@ def support_enumeration(
     stacks by support size, each by one path (``_solve_stack``: LU if square
     and of full rank, SVD least squares otherwise); every candidate is still
     validated in combination order, so the first of a cluster of
-    near-duplicates is the one kept. On three or more players a combination
-    in which some in-support strategy is conditionally dominated by more than
-    a margin over ``tol`` is skipped, as none of its candidates could pass
-    validation; each other combination gets Newton's method on the exact
-    Jacobian from 17 fixed starts, so equilibria that these starts miss are
-    not found.
+    near-duplicates is the one kept. On three or more players the
+    combinations are stacked by support-size signature
+    (``_n_player_mixed_candidates``). A combination in which some in-support
+    strategy is conditionally dominated by more than a margin over ``tol`` is
+    skipped, as none of its candidates could pass validation; the others of
+    a stack get one Newton run on the exact Jacobian from 17 fixed starts
+    each, so equilibria that these starts miss are not found.
     """
     _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts
@@ -749,22 +817,13 @@ def support_enumeration(
 
     supports = [list(_support_iter(m, cap)) for m, cap in zip(counts, caps)]
     if game.n == 2:
-        two_player = _two_player_mixed_candidates(game, *supports)
-
-    def candidates_for(combo: tuple[tuple[int, ...], ...]):
-        if game.n == 2:
-            return [two_player[combo]] if combo in two_player else []
-        return _n_player_candidates(game, combo, tol)
-
+        found = _two_player_mixed_candidates(game, *supports)
+    else:
+        found = _n_player_mixed_candidates(game, supports, tol)
     accepted: list[tuple[MixedProfile, bool]] = []
     for combo in itertools.product(*supports):
-        if all(len(t) == 1 for t in combo):
-            continue
-        for vectors, degenerate in candidates_for(combo):
-            try:
-                profile = MixedProfile.from_vectors(vectors)
-            except InvalidParameterError:
-                continue
+        for vectors, degenerate in found.get(combo, ()):
+            profile = MixedProfile.from_vectors(vectors)
             if is_equilibrium(game, profile, "weak", tol).ok:
                 accepted.append((profile, degenerate))
     return [

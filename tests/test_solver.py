@@ -300,20 +300,40 @@ def test_three_player_pennies_has_only_the_uniform_equilibrium():
     assert r.strict and not r.degenerate
 
 
+def _mixed_combinations(game):
+    """Every support combination in which some support has two or more
+    strategies, in combination order."""
+    supports = [list(solver._support_iter(m, m)) for m in game.strategy_counts]
+    return [c for c in itertools.product(*supports) if max(map(len, c)) > 1]
+
+
+def _checked_combinations(calls):
+    """The combinations of recorded ``_conditionally_dominated`` calls, in
+    call order, with the verdict on each."""
+    return [
+        (tuple(tuple(t[c].tolist()) for t in args[1]), bool(dominated[c]))
+        for args, dominated in calls
+        for c in range(len(dominated))
+    ]
+
+
 def test_only_combinations_the_dominance_check_keeps_reach_a_root_solve(monkeypatch):
     """Of the 3^3 - 8 = 19 mixed support combinations of Jordan's pennies,
     the dominance check prunes all but the one the root solve settles."""
     checked = _record_calls(monkeypatch, "_conditionally_dominated")
+    solved = _record_calls(monkeypatch, "_newton")
     game = _three_player_pennies()
     results, _ = _solve_game(game, SolveOptions())
     assert len(results) == 1
-    supports = list(solver._support_iter(2, 2))
-    mixed = [c for c in itertools.product(supports, repeat=3) if max(map(len, c)) > 1]
+    mixed = _mixed_combinations(game)
     assert len(mixed) == 19
-    assert [args[1] for args, _ in checked] == mixed
-    pruned = sum(_dominated_oracle(game, c, cg.DEFAULT_TOL) for c in mixed)
-    reached = [args[1] for args, dominated in checked if not dominated]
-    assert len(reached) == len(mixed) - pruned == 1
+    verdicts = _checked_combinations(checked)
+    assert sorted(c for c, _ in verdicts) == sorted(mixed)
+    for combo, dominated in verdicts:
+        assert dominated == _dominated_oracle(game, combo, cg.DEFAULT_TOL)
+    assert sum(dominated for _, dominated in verdicts) == 18
+    # The one combination left is solved alone, from its 17 starts.
+    assert [len(args[1]) for args, _ in solved] == [17]
 
 
 def test_support_enumeration_budget(dinner):
@@ -570,16 +590,16 @@ def test_dedup_runs_only_when_the_mixed_search_found_results(
 
 def test_n_player_search_tries_only_mixed_combinations(monkeypatch):
     game = _coordination_game()
-    tried = _record_calls(monkeypatch, "_n_player_candidates")
+    checked = _record_calls(monkeypatch, "_conditionally_dominated")
+    searched = _record_calls(monkeypatch, "_n_player_mixed_candidates")
     validated = _record_calls(monkeypatch, "is_equilibrium")
     results, _ = _solve_game(game, SolveOptions())
-    combos = [args[1] for args, _ in tried]
-    supports = list(solver._support_iter(2, 2))
-    assert combos == [
-        c for c in itertools.product(supports, repeat=3) if max(map(len, c)) > 1
-    ]
+    mixed = _mixed_combinations(game)
+    assert sorted(c for c, _ in _checked_combinations(checked)) == sorted(mixed)
+    ((_, found),) = searched
+    assert found and set(found) <= set(mixed)
     # Every validation is of a candidate from a mixed combination.
-    assert len(validated) == sum(len(out) for _, out in tried)
+    assert len(validated) == sum(len(out) for out in found.values())
     assert {((0,), (0,), (0,)), ((1,), (1,), (1,))} <= {r.support for r in results}
 
 
@@ -717,19 +737,30 @@ def _three_player_game(m, seed, integer):
 _three_player_games = st.builds(
     _three_player_game, st.integers(2, 3), st.integers(0, 2**32 - 1), st.booleans()
 )
+_tied_three_player_games = st.builds(
+    _three_player_game, st.integers(2, 3), st.integers(0, 2**32 - 1), st.just(True)
+)
 
 
 @settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_three_player_games, st.sampled_from([1e-9, 1e-3, 0.5]))
 def test_dominance_pruning_changes_no_result(game, tol):
     supports = [list(solver._support_iter(m, m)) for m in game.strategy_counts]
+    # One stack per support-size signature, as the search checks them.
+    signatures = {}
     for combo in itertools.product(*supports):
-        assert solver._conditionally_dominated(game, combo, tol) == _dominated_oracle(
-            game, combo, tol
-        )
+        signatures.setdefault(tuple(map(len, combo)), []).append(combo)
+    for combos in signatures.values():
+        tables = [np.array(t) for t in zip(*combos)]
+        assert solver._conditionally_dominated(game, tables, tol).tolist() == [
+            _dominated_oracle(game, combo, tol) for combo in combos
+        ]
     got = cg.support_enumeration(game, tol=tol)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(solver, "_conditionally_dominated", lambda *args: False)
+        mp.setattr(
+            solver, "_conditionally_dominated",
+            lambda game, tables, tol: np.zeros(len(tables[0]), dtype=bool),
+        )
         expected = cg.support_enumeration(game, tol=tol)
     assert len(got) == len(expected)
     for r, e in zip(got, expected):
@@ -772,7 +803,9 @@ def test_indifference_jacobian_matches_central_differences(sizes):
         sub = rng.normal(size=sizes + (len(sizes),))
         points = [[rng.dirichlet(np.ones(s)) for s in sizes] for _ in range(3)]
         fun, jac = solver._indifference_system(
-            sub, np.array([np.concatenate(probs) for probs in points]), sizes
+            np.broadcast_to(sub, (3,) + sub.shape),
+            np.array([np.concatenate(probs) for probs in points]),
+            sizes,
         )
         assert jac.shape == (3,) + (sum(sizes),) * 2
         for probs, f, exact in zip(points, fun, jac):
@@ -798,14 +831,20 @@ def test_payoff_twins_give_a_degenerate_three_player_mixture():
             assert np.allclose(np.concatenate(r.profile.vectors()[1:]), 0.5, atol=1e-9)
 
 
+def _dominated(game, supports, tol):
+    """``solver._conditionally_dominated`` on one combination."""
+    return solver._conditionally_dominated(game, [np.array([t]) for t in supports], tol)[0]
+
+
 def _hybrj_candidates(game, supports, tol):
-    """Reference for ``solver._n_player_candidates``: the same pruning, then
-    one MINPACK ``hybrj`` run on the exact Jacobian from the uniform point,
-    keeping the uniform point itself when it solves the system. The same
-    acceptance test, clipping, normalization and rank test follow."""
+    """Reference for the n-player search on one combination: the same
+    pruning, then one MINPACK ``hybrj`` run on the exact Jacobian from the
+    uniform point, keeping the uniform point itself when it solves the
+    system. The same acceptance test, clipping, normalization and rank test
+    follow."""
     from scipy import optimize
 
-    if solver._conditionally_dominated(game, supports, tol):
+    if _dominated(game, supports, tol):
         return []
     sub = game.payoff_tensor[np.ix_(*supports)]
     sizes = [len(t) for t in supports]
@@ -815,7 +854,7 @@ def _hybrj_candidates(game, supports, tol):
         return _indifference_residuals(sub, np.split(z, splits))
 
     def jacobian(z):
-        return solver._indifference_system(sub, z[None], sizes)[1][0]
+        return solver._indifference_system(sub[None], z[None], sizes)[1][0]
 
     uniform = np.concatenate([np.full(len(t), 1.0 / len(t)) for t in supports])
     sol = optimize.root(system, uniform, jac=jacobian, method="hybr")
@@ -844,7 +883,14 @@ def test_newton_finds_every_root_hybrj_finds(monkeypatch, tol):
     for game in games:
         got = cg.support_enumeration(game, tol=tol)
         with monkeypatch.context() as mp:
-            mp.setattr(solver, "_n_player_candidates", _hybrj_candidates)
+            mp.setattr(
+                solver, "_n_player_mixed_candidates",
+                lambda game, supports, tol: {
+                    combo: _hybrj_candidates(game, combo, tol)
+                    for combo in itertools.product(*supports)
+                    if max(map(len, combo)) > 1
+                },
+            )
             expected = cg.support_enumeration(game, tol=tol)
         references += len(expected)
         keys = [np.concatenate(r.profile.vectors()) for r in got]
@@ -859,6 +905,135 @@ def test_newton_finds_every_root_hybrj_finds(monkeypatch, tol):
         for r in got:
             assert cg.is_equilibrium(game, r.profile, "weak", tol).ok
     assert references > len(games)
+
+
+def _per_combination_candidates(game, supports, tol):
+    """Reference for ``solver._n_player_mixed_candidates`` on one
+    combination: its own dominance check, one ``np.ix_`` sub-tensor and one
+    ``_newton`` run on its 17 starts alone, then the same acceptance test,
+    rank test, dedup, clipping and normalization, in start order."""
+    if _dominated(game, supports, tol):
+        return []
+    sub = game.payoff_tensor[np.ix_(*supports)]
+    sizes = [len(t) for t in supports]
+    rng = np.random.default_rng(0)
+    starts = np.vstack([
+        np.concatenate([np.full(s, 1.0 / s) for s in sizes]),
+        np.concatenate([rng.dirichlet(np.ones(s), 16) for s in sizes], axis=1),
+    ])
+    z, worst, jac = solver._newton(
+        np.broadcast_to(sub, (len(starts),) + sub.shape), starts, sizes, len(starts)
+    )
+    counts = game.strategy_counts
+    out, kept = [], []
+    for k in np.flatnonzero((worst <= 1e-8) & (z.min(axis=1) >= -1e-8)):
+        degenerate = bool(np.linalg.matrix_rank(jac[k]) < z.shape[1])
+        if kept and (degenerate or (np.abs(z[kept] - z[k]).max(axis=1) <= DEDUP_TOL).any()):
+            continue
+        kept.append(k)
+        probs = [np.clip(p, 0.0, None) for p in np.split(z[k], np.cumsum(sizes)[:-1])]
+        if all(p.sum() > 0 for p in probs):
+            vectors = [
+                solver._embed(m, t, p / p.sum()) for m, t, p in zip(counts, supports, probs)
+            ]
+            out.append((vectors, degenerate))
+    return out
+
+
+def _assert_matches_per_combination(game, tol=cg.DEFAULT_TOL):
+    supports = [list(solver._support_iter(m, m)) for m in game.strategy_counts]
+    got = solver._n_player_mixed_candidates(game, supports, tol)
+    expected = {}
+    for combo in _mixed_combinations(game):
+        candidates = _per_combination_candidates(game, combo, tol)
+        if candidates:
+            expected[combo] = candidates
+    assert set(got) == set(expected)
+    for combo, candidates in expected.items():
+        assert len(got[combo]) == len(candidates)
+        for (vectors, degenerate), (ref_vectors, ref_degenerate) in zip(
+            got[combo], candidates
+        ):
+            assert degenerate == ref_degenerate
+            assert all(np.array_equal(v, w) for v, w in zip(vectors, ref_vectors))
+    return got
+
+
+def _generic_n_player_games():
+    games = [_three_player_game(m, seed, False) for m in (2, 3) for seed in range(2)]
+    games += [_action_game(np.random.default_rng(seed).random((2,) * 4 + (4,)))
+              for seed in range(2)]
+    return games
+
+
+def test_stacked_newton_matches_the_per_combination_reference():
+    for game in _generic_n_player_games():
+        for tol in (cg.DEFAULT_TOL, 1e-3):
+            assert _assert_matches_per_combination(game, tol)
+    # Four actions each make 3375 combinations: one game, one tolerance.
+    assert _assert_matches_per_combination(_three_player_game(4, 0, False))
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_tied_three_player_games, st.sampled_from([1e-9, 1e-3, 0.5]))
+def test_stacked_newton_matches_the_reference_on_tied_payoffs(game, tol):
+    _assert_matches_per_combination(game, tol)
+
+
+def _twin_action_game():
+    """Three players with three actions and integer payoffs, where player x's
+    first two actions pay x alike: every Jacobian of a support holding both
+    has a zero row, and other combinations of its size signature do not."""
+    payoffs = np.random.default_rng(5).integers(0, 3, (3, 3, 3, 3)).astype(float)
+    payoffs[1, ..., 0] = payoffs[0, ..., 0]
+    return _action_game(payoffs)
+
+
+def test_singular_jacobians_take_the_pseudo_inverse_per_combination(monkeypatch):
+    pinv_rows = []
+    pinv = np.linalg.pinv
+
+    def recorded(matrices, *args, **kwargs):
+        pinv_rows.append(len(matrices))
+        return pinv(matrices, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "pinv", recorded)
+    solved = _record_calls(monkeypatch, "_newton")
+    _assert_matches_per_combination(_twin_action_game())
+    stacked = [len(args[1]) for args, _ in solved if len(args[1]) > 17]
+    # Stacks of several combinations ran, yet the pseudo-inverse only ever
+    # took one combination's rows.
+    assert stacked and pinv_rows and max(pinv_rows) <= 17
+
+
+def test_stacked_newton_gives_the_same_results_one_combination_per_stack(monkeypatch):
+    games = _generic_n_player_games() + [_twin_action_game()]
+    expected = [cg.support_enumeration(game) for game in games]
+    monkeypatch.setattr(solver, "STACK_FLOATS", 1)
+    solved = _record_calls(monkeypatch, "_newton")
+    for game, results in zip(games, expected):
+        got = cg.support_enumeration(game)
+        assert len(got) == len(results)
+        for r, e in zip(got, results):
+            assert all(
+                np.array_equal(v, w)
+                for v, w in zip(r.profile.vectors(), e.profile.vectors())
+            )
+            assert (r.support, r.degenerate, r.strict) == (e.support, e.degenerate, e.strict)
+    assert {len(args[1]) for args, _ in solved} == {17}
+
+
+def test_one_newton_run_per_support_size_signature(monkeypatch):
+    game = _three_player_game(3, 0, False)
+    solved = _record_calls(monkeypatch, "_newton")
+    cg.support_enumeration(game)
+    tol = cg.DEFAULT_TOL
+    survivors = [c for c in _mixed_combinations(game) if not _dominated_oracle(game, c, tol)]
+    signatures = {tuple(map(len, c)) for c in survivors}
+    assert len(signatures) > 1
+    assert len(solved) == len(signatures) < len(survivors)
+    assert sorted(tuple(args[2]) for args, _ in solved) == sorted(signatures)
+    assert sum(len(args[1]) for args, _ in solved) == 17 * len(survivors)
 
 
 # --- partition pushforward --------------------------------------------------
