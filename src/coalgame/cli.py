@@ -159,10 +159,14 @@ def _cmd_family(args: argparse.Namespace, out) -> int:
 def _cmd_examples(args: argparse.Namespace, out) -> int:
     names = [args.name] if args.name else list(BUNDLED_SPECS)
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         for name in names:
+            text = bundled_spec_text(name)
             target = args.out / f"{name}.spec"
-            target.write_text(bundled_spec_text(name), encoding="utf-8")
+            try:
+                args.out.mkdir(parents=True, exist_ok=True)
+                target.write_text(text, encoding="utf-8")
+            except OSError as exc:
+                raise InvalidParameterError(f"cannot write {target}: {exc}") from None
             print(f"wrote {target}", file=out)
         return EXIT_OK
     if args.name:

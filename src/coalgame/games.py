@@ -143,6 +143,17 @@ def _as_finite_vector(values: Sequence[float], n: int, what: str) -> tuple[float
     return vec
 
 
+def _bonus_vector(bonus: float | Sequence[float], n: int) -> tuple[float, ...]:
+    """The per-player epsilon bonus: one number paid to every player, or a
+    1-D sequence (list, tuple, array) of one number per player."""
+    shape = np.shape(bonus)
+    if len(shape) > 1:
+        raise InvalidParameterError(
+            f"epsilon bonus must be a number or a vector, got shape {shape}"
+        )
+    return _as_finite_vector(bonus if shape else (bonus,) * n, n, "epsilon bonus")
+
+
 @dataclass(frozen=True)
 class PayoffTable:
     """Payoff vectors keyed by (realized partition, action profile).
@@ -596,12 +607,7 @@ def make_game(
     if epsilon_partition is not None:
         target = parse_partition(epsilon_partition, n)
         if target in family:
-            per_player = (
-                tuple(float(b) for b in epsilon_bonus)
-                if isinstance(epsilon_bonus, (list, tuple))
-                else (float(epsilon_bonus),) * n
-            )
-            bonus = EpsilonBonus(partition=target, per_player=per_player)
+            bonus = EpsilonBonus(target, _bonus_vector(epsilon_bonus, n))
 
     if isinstance(rule, str):
         if rule not in RULES:

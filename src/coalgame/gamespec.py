@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Sequence
 
 from .errors import GameSpecError, InvalidParameterError
-from .games import RULES, Game, make_game
+from .games import RULES, Game, _bonus_vector, make_game
 from .partitions import enumerate_partitions, parse_partition
 
 _TOP_KEYS = {"name", "players", "K", "K_range", "rule", "actions", "payoffs",
@@ -72,15 +72,7 @@ class GameSpec:
             raise InvalidParameterError(
                 "spec has no epsilon stanza; cannot override the bonus"
             )
-        vec = (
-            tuple(float(b) for b in bonus)
-            if isinstance(bonus, (list, tuple))
-            else (float(bonus),) * self.n
-        )
-        if len(vec) != self.n:
-            raise InvalidParameterError(
-                f"epsilon bonus must have length {self.n}, got {len(vec)}"
-            )
+        vec = _bonus_vector(bonus, self.n)
         return dc_replace(self, epsilon=EpsilonSpec(self.epsilon.partition_key, vec))
 
 

@@ -12,9 +12,10 @@ systems are linear: ``_solve_stack`` solves them in stacks. On three or more
 players the combinations are stacked by support-size signature: each stack
 drops the combinations with a conditionally dominated in-support strategy,
 and solves the others' systems in one Newton run on the exact Jacobian, from
-the uniform point and 16 fixed interior points per combination. The reported
-``max_regret`` is the largest improvement any pure deviation achieves
-(floored at zero).
+the uniform point and 16 fixed interior points per combination. One SVD
+kernel, ``_lstsq_stack``, solves every two-player system and every exactly
+singular Newton step. The reported ``max_regret`` is the largest
+improvement any pure deviation achieves (floored at zero).
 
 All operations are pure functions of an immutable :class:`~coalgame.games.Game`.
 """
@@ -119,7 +120,8 @@ class EquilibriumResult:
 
     ``degenerate`` marks a sample drawn from a continuum of equilibria (the
     indifference system was rank-deficient on this support); the sample is
-    validated but the full family is not enumerable as a finite list.
+    validated but the full family is not enumerable as a finite list. Which
+    point is sampled depends on the solver's steps, not only on the game.
     """
 
     profile: MixedProfile
@@ -463,17 +465,27 @@ def _indifference_systems(
     return m_y, m_x
 
 
+def _lstsq_stack(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rank and minimum-norm least-squares solution ``V diag(1/s) U^T rhs``
+    of each system ``matrices[k] x = rhs[k]`` (or ``rhs``, if 1-D), over the
+    singular values above ``matrix_rank``'s cutoff ``s_max * max(rows, cols)
+    * eps``. Each row's solution depends only on its own system."""
+    rows, cols = matrices.shape[1:]
+    u, s, vh = np.linalg.svd(matrices, full_matrices=False)
+    kept = s > s[:, :1] * max(rows, cols) * np.finfo(np.float64).eps
+    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
+    x = (((rhs[..., None, :] @ u) * inverse[:, None, :]) @ vh)[:, 0]
+    return x, kept.sum(axis=1)
+
+
 def _solve_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve a stack of indifference systems (right-hand side: last unit
-    vector) into ``(mixtures, ok, degenerate)``. A full-rank square system is
-    solved by LU. Every other, or one whose LU solution is not finite, takes
-    the SVD's minimum-norm least-squares solution, as ``lstsq(rcond=None)``
-    gives; the whole stack does if LU finds a matrix exactly singular.
-    ``degenerate`` marks a rank below the column count by ``matrix_rank``'s
-    cutoff: a continuum, of which this is a sample. ``ok`` marks a solution
-    with residual at most 1e-9 * scale in every entry (scale: the largest
-    entry in absolute value, at least 1), entries at least -1e-9 and positive
-    mass; ``mixtures`` holds it clipped at zero and normalized.
+    vector) into ``(mixtures, ok, degenerate)``, each by ``_lstsq_stack``,
+    as ``lstsq(rcond=None)`` would. ``degenerate`` marks a rank below the
+    column count: a continuum, of which this is a sample. ``ok`` marks a
+    solution with residual at most 1e-9 * scale in every entry (scale: the
+    largest entry in absolute value, at least 1), entries at least -1e-9 and
+    positive mass; ``mixtures`` holds it clipped at zero and normalized.
     """
     n, rows, cols = matrices.shape
     unit = np.eye(rows)[-1]
@@ -489,21 +501,9 @@ def _solve_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
         outside = unit - (q @ q[:, -1, :, None])[..., 0]
         live = np.flatnonzero(np.linalg.norm(outside, axis=1) <= 1e-6 * scale)
     m = matrices[live]
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    kept = s > s[:, :1] * max(rows, cols) * np.finfo(np.float64).eps
-    # x = V diag(1/s) U^T e_last, over the kept singular values.
-    inverse = np.divide(1.0, s, out=np.zeros_like(s), where=kept)
-    x = ((u[:, -1, :] * inverse)[:, None, :] @ vh)[:, 0]
+    x, rank = _lstsq_stack(m, unit)
     degenerate = np.zeros(n, dtype=bool)
-    degenerate[live] = kept.sum(axis=1) < cols
-    if rows == cols:
-        full = np.flatnonzero(~degenerate[live])
-        rhs = np.broadcast_to(unit[:, None], (full.size, rows, 1))
-        try:
-            lu = np.linalg.solve(m[full], rhs)[..., 0]
-            x[full] = np.where(np.isfinite(lu).all(axis=1, keepdims=True), lu, x[full])
-        except np.linalg.LinAlgError:
-            pass  # one exactly singular matrix: the stack keeps the SVD's
+    degenerate[live] = rank < cols
     mass = np.clip(x, 0.0, None)
     total = mass.sum(axis=1)
     accept = (
@@ -650,39 +650,37 @@ def _indifference_system(
     return fun, jac
 
 
-def _newton_steps(jac: np.ndarray, fun: np.ndarray, owner: np.ndarray) -> np.ndarray:
-    """Newton steps ``-jac^-1 fun`` of a stack of rows. If some Jacobian is
-    exactly singular, each combination's rows (equal ``owner``, consecutive)
-    are solved alone, and a combination with a singular Jacobian takes the
-    pseudo-inverse on all of its rows, as it would solved by itself."""
+def _newton_steps(jac: np.ndarray, fun: np.ndarray) -> np.ndarray:
+    """Newton steps ``-jac^-1 fun`` of a stack of rows, by LU. A row whose
+    Jacobian is exactly singular (a zero LU pivot: ``slogdet``'s sign is 0)
+    takes the least-squares step of ``_lstsq_stack`` instead, so each row's
+    step depends only on its own Jacobian and residual."""
     try:
         return np.linalg.solve(jac, -fun[:, :, None])[..., 0]
     except np.linalg.LinAlgError:
-        if owner[0] != owner[-1]:
-            cuts = np.flatnonzero(np.diff(owner)) + 1
-            return np.concatenate([
-                _newton_steps(jac[rows], fun[rows], owner[rows])
-                for rows in np.split(np.arange(len(owner)), cuts)
-            ])
-        return (np.linalg.pinv(jac) @ -fun[:, :, None])[..., 0]
+        with np.errstate(divide="ignore"):
+            singular = np.linalg.slogdet(jac)[0] == 0
+        step = np.empty_like(fun)
+        step[~singular] = np.linalg.solve(jac[~singular], -fun[~singular, :, None])[..., 0]
+        step[singular] = _lstsq_stack(jac[singular], -fun[singular])[0]
+        return step
 
 
 def _newton(
-    sub: np.ndarray, z: np.ndarray, sizes: Sequence[int], block: int
+    sub: np.ndarray, z: np.ndarray, sizes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton's method on ``_indifference_system`` from each row of ``z`` at
-    once; each run of ``block`` consecutive rows is one combination's starts
-    (``_newton_steps``). Each step is halved at most four times until the
-    start's largest residual falls; a start stops when it no longer falls,
-    all after 50 steps. Returns the final points, largest residuals and
-    Jacobians. An overflowing step has a non-finite residual, which does not
-    fall."""
+    once, each row's steps by ``_newton_steps`` on its own Jacobian. Each
+    step is halved at most four times until the start's largest residual
+    falls; a start stops when it no longer falls, all after 50 steps.
+    Returns the final points, largest residuals and Jacobians. An
+    overflowing step has a non-finite residual, which does not fall."""
     with np.errstate(over="ignore", invalid="ignore"):
         fun, jac = _indifference_system(sub, z, sizes)
         worst = np.abs(fun).max(axis=1)
         live = np.arange(len(z))
         for _ in range(50):
-            step = _newton_steps(jac[live], fun[live], live // block)
+            step = _newton_steps(jac[live], fun[live])
             moved = np.zeros(live.size, dtype=bool)
             for _ in range(5):
                 wait = np.flatnonzero(~moved)
@@ -751,7 +749,7 @@ def _n_player_mixed_candidates(
             chunk = [t[r] for t, r in zip(tables, rows)]
             sub = game.payoff_tensor[_combination_index(chunk)]
             z, worst, jac = _newton(
-                np.repeat(sub, block, axis=0), np.tile(starts, (len(sub), 1)), sizes, block
+                np.repeat(sub, block, axis=0), np.tile(starts, (len(sub), 1)), sizes
             )
             roots = np.flatnonzero((worst <= 1e-8) & (z.min(axis=1) >= -1e-8))
             # A rank-deficient Jacobian at a root marks a continuum of roots
@@ -796,16 +794,17 @@ def support_enumeration(
     be pure once clipped. Singular systems are sampled rather than skipped:
     the sample is reported with ``degenerate=True`` to mark a continuum of
     equilibria on that support. Two players' linear systems are solved in
-    stacks by support size, each by one path (``_solve_stack``: LU if square
-    and of full rank, SVD least squares otherwise); every candidate is still
-    validated in combination order, so the first of a cluster of
-    near-duplicates is the one kept. On three or more players the
-    combinations are stacked by support-size signature
-    (``_n_player_mixed_candidates``). A combination in which some in-support
-    strategy is conditionally dominated by more than a margin over ``tol`` is
-    skipped, as none of its candidates could pass validation; the others of
-    a stack get one Newton run on the exact Jacobian from 17 fixed starts
-    each, so equilibria that these starts miss are not found.
+    stacks by support size, each by the SVD's minimum-norm least-squares
+    solution (``_solve_stack``); every candidate is still validated in
+    combination order, so the first of a cluster of near-duplicates is the
+    one kept. On three or more players the combinations are stacked by
+    support-size signature (``_n_player_mixed_candidates``). A combination
+    in which some in-support strategy is conditionally dominated by more
+    than a margin over ``tol`` is skipped, as none of its candidates could
+    pass validation; the others of a stack get one Newton run on the exact
+    Jacobian from 17 fixed starts each (LU steps, and least-squares steps
+    where a Jacobian is exactly singular), so equilibria that these starts
+    miss are not found.
     """
     _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts

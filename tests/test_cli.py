@@ -327,6 +327,19 @@ def test_bad_spec_file_exits_two(tmp_path):
     assert code == 2
 
 
+def test_examples_out_that_cannot_be_written_exits_two(tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code, out, err = _run("examples", "pd", "--out", str(blocker))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ")
+    # The directory exists, but the spec's own path is a directory.
+    (tmp_path / "dir" / "pd.spec").mkdir(parents=True)
+    code, out, err = _run("examples", "pd", "--out", str(tmp_path / "dir"))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write ")
+
+
 def test_missing_subcommand_exits_two():
     code, _, _ = _run()
     assert code == 2

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 import coalgame as cg
@@ -67,6 +68,23 @@ def test_epsilon_override():
     assert game.epsilon.per_player == (2.5, 2.5)
     with pytest.raises(cg.InvalidParameterError):
         cg.build_game(cg.bundled_spec("dinner"), epsilon_bonus=1.0)
+
+
+def test_epsilon_bonus_is_a_number_or_any_1d_sequence():
+    spec = cg.bundled_spec("pd_extrovert")
+
+    def make(bonus):
+        return cg.make_game(["x", "y"], K=2, epsilon_partition="0,1", epsilon_bonus=bonus)
+
+    for bonus in ([0.5, 0.25], (0.5, 0.25), np.array([0.5, 0.25])):
+        assert spec.with_epsilon(bonus).epsilon.bonus == (0.5, 0.25)
+        assert make(bonus).epsilon.per_player == (0.5, 0.25)
+    assert make(np.float64(0.5)).epsilon.per_player == (0.5, 0.5)
+    for bad in ([1.0], np.ones(3), np.ones((2, 2))):
+        with pytest.raises(cg.InvalidParameterError):
+            spec.with_epsilon(bad)
+        with pytest.raises(cg.InvalidParameterError):
+            make(bad)
 
 
 def _pd_dict():

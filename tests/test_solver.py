@@ -922,7 +922,7 @@ def _per_combination_candidates(game, supports, tol):
         np.concatenate([rng.dirichlet(np.ones(s), 16) for s in sizes], axis=1),
     ])
     z, worst, jac = solver._newton(
-        np.broadcast_to(sub, (len(starts),) + sub.shape), starts, sizes, len(starts)
+        np.broadcast_to(sub, (len(starts),) + sub.shape), starts, sizes
     )
     counts = game.strategy_counts
     out, kept = [], []
@@ -989,21 +989,53 @@ def _twin_action_game():
     return _action_game(payoffs)
 
 
-def test_singular_jacobians_take_the_pseudo_inverse_per_combination(monkeypatch):
-    pinv_rows = []
-    pinv = np.linalg.pinv
+def _twin_jacobian_stack():
+    """Jacobians and residuals of ``_twin_action_game`` at the uniform point
+    and four fixed interior points, on every combination of support sizes
+    (2, 2, 2), with the mask of the exactly singular ones (a zero LU pivot).
+    Those include every one whose x support holds both twin actions."""
+    game = _twin_action_game()
+    pairs = list(itertools.combinations(range(3), 2))
+    combos = list(itertools.product(pairs, repeat=3))
+    rng = np.random.default_rng(0)
+    starts = np.vstack(
+        [np.full(6, 0.5), np.hstack([rng.dirichlet(np.ones(2), 4) for _ in range(3)])]
+    )
+    sub = np.stack([game.payoff_tensor[np.ix_(*combo)] for combo in combos])
+    fun, jac = solver._indifference_system(
+        np.repeat(sub, len(starts), axis=0), np.tile(starts, (len(combos), 1)), (2, 2, 2)
+    )
+    singular = np.linalg.slogdet(jac)[0] == 0
+    twins = np.repeat([combo[0] == (0, 1) for combo in combos], len(starts))
+    assert singular[twins].all() and not singular.all()
+    return jac, fun, singular
 
-    def recorded(matrices, *args, **kwargs):
-        pinv_rows.append(len(matrices))
-        return pinv(matrices, *args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "pinv", recorded)
-    solved = _record_calls(monkeypatch, "_newton")
-    _assert_matches_per_combination(_twin_action_game())
-    stacked = [len(args[1]) for args, _ in solved if len(args[1]) > 17]
-    # Stacks of several combinations ran, yet the pseudo-inverse only ever
-    # took one combination's rows.
-    assert stacked and pinv_rows and max(pinv_rows) <= 17
+def test_newton_step_of_each_row_is_its_step_alone():
+    jac, fun, _ = _twin_jacobian_stack()
+    # Denormal entries, as a Newton run met them: LU finds no zero pivot, so
+    # ``solve`` does not raise (its step is not finite), yet ``det`` reads 0.
+    denormal = np.array([
+        [0, 0, 0, 0, 0, 0], [1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 0, 0.32],
+        [0, 0, 1, 1, 0, 0], [-4.244e-314, 8.488e-314, -1.0386, 0, 0, 0],
+        [0, 0, 0, 0, 1, 1],
+    ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert np.linalg.slogdet(denormal)[0] != 0 and np.linalg.det(denormal) == 0
+        jac = np.concatenate([jac, denormal[None]])
+        fun = np.concatenate([fun, np.ones((1, 6))])
+        steps = solver._newton_steps(jac, fun)
+        for k in range(len(jac)):
+            alone = solver._newton_steps(jac[k : k + 1], fun[k : k + 1])[0]
+            assert np.array_equal(steps[k], alone, equal_nan=True)
+
+
+def test_singular_newton_steps_are_the_least_squares_steps():
+    jac, fun, singular = _twin_jacobian_stack()
+    steps = solver._newton_steps(jac, fun)
+    for k in np.flatnonzero(singular):
+        expected = np.linalg.lstsq(jac[k], -fun[k], rcond=None)[0]
+        assert np.abs(steps[k] - expected).max() <= 1e-12
 
 
 def test_stacked_newton_gives_the_same_results_one_combination_per_stack(monkeypatch):
