@@ -135,7 +135,12 @@ RULES: dict[str, FormationRule] = {
 
 
 def _as_finite_vector(values: Sequence[float], n: int, what: str) -> tuple[float, ...]:
-    vec = tuple(float(v) for v in values)
+    try:
+        vec = tuple(float(v) for v in values)
+    except OverflowError:
+        raise InvalidParameterError(
+            f"{what} must be finite, got an integer too large for a float"
+        ) from None
     if len(vec) != n:
         raise InvalidParameterError(f"{what} must have length {n}, got {len(vec)}")
     if not all(np.isfinite(vec)):

@@ -83,7 +83,12 @@ def _fail(message: str, location: str) -> GameSpecError:
 def _expect_number(value: Any, location: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _fail(f"expected a number, got {value!r}", location)
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        raise _fail(
+            "payoffs must be finite, got an integer too large for a float", location
+        ) from None
     if not math.isfinite(value):
         raise _fail(f"payoffs must be finite, got {value}", location)
     return value
@@ -134,6 +139,8 @@ def parse_spec(text: str) -> GameSpec:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise _fail(f"invalid JSON: {exc.msg}", f"line {exc.lineno} col {exc.colno}")
+    except ValueError as exc:  # an integer literal over the int-digits limit
+        raise _fail(f"invalid JSON: {exc}", "$") from None
     if not isinstance(raw, dict):
         raise _fail("spec must be a JSON object", "$")
     unknown = set(raw) - _TOP_KEYS

@@ -283,7 +283,9 @@ def parse_partition(text: str, n: int) -> Partition:
         members: list[int] = []
         for item in chunk.split(","):
             item = item.strip()
-            if not item or not (item.isdigit() or (item[0] == "-" and item[1:].isdigit())):
+            digits = item[1:] if item.startswith("-") else item
+            # ASCII only: str.isdigit also holds for "²" and "١".
+            if not (digits.isascii() and digits.isdigit()):
                 raise InvalidParameterError(
                     f"bad player id {item!r} in partition string {text!r}"
                 )

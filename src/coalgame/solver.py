@@ -5,16 +5,16 @@ Best responses are checked against pure deviations only, which suffices in
 finite games: a mixed deviation is a convex combination of pure ones, so its
 expected utility never exceeds the best pure deviation. Pure equilibria are
 read off ``_pure_regret_arrays``, which holds every pure profile's gain from
-each unilateral pure deviation. The support search covers only the support
-combinations in which some player mixes; each of its candidates is validated
-with ``is_equilibrium`` before it is reported. Two players' indifference
-systems are linear: ``_solve_stack`` solves them in stacks. On three or more
-players the combinations are stacked by support-size signature: each stack
-drops the combinations with a conditionally dominated in-support strategy,
-and solves the others' systems in one Newton run on the exact Jacobian, from
-the uniform point and 16 fixed interior points per combination. One SVD
-kernel, ``_lstsq_stack``, solves every two-player system and every exactly
-singular Newton step. The reported ``max_regret`` is the largest
+each unilateral pure deviation. The support search (``_mixed_candidates``)
+covers only the support combinations in which some player mixes, in stacks
+by support-size signature, for any number of players. Each stack drops the
+combinations with a conditionally dominated in-support strategy and solves
+the others' indifference systems at once: two players' systems are linear,
+solved by ``_solve_stack``; more players' get one Newton run on the exact
+Jacobian, from the uniform point and 16 fixed interior points per
+combination. Each candidate is validated with ``is_equilibrium`` before it
+is reported. One SVD kernel, ``_lstsq_stack``, solves every two-player
+system and every exactly singular Newton step. The reported ``max_regret`` is the largest
 improvement any pure deviation achieves (floored at zero).
 
 All operations are pure functions of an immutable :class:`~coalgame.games.Game`.
@@ -41,10 +41,10 @@ DEFAULT_TOL = 1e-9
 EU_CONSISTENCY_TOL = 1e-10
 #: Candidate equilibria closer than this per coordinate are merged.
 DEDUP_TOL = 1e-6
-#: Most floats in one stack of a support search: the two-player indifference
-#: matrices, or the n-player Newton Jacobians and payoff sub-tensors. Larger
-#: support-size buckets or signatures are solved in chunks, so memory stays
-#: bounded whatever the budget.
+#: Most floats in one stack of a support search: the indifference Jacobians
+#: and payoff sub-tensors of a chunk of combinations, or the payoff gains of
+#: the dominance check. Larger support-size signatures are taken in chunks,
+#: so memory stays bounded whatever the budget.
 STACK_FLOATS = 1 << 18
 _NORM_TOL = 1e-12
 
@@ -441,30 +441,6 @@ def _support_count(m: int, max_size: int) -> int:
     return sum(math.comb(m, size) for size in range(1, max_size + 1))
 
 
-def _indifference_systems(
-    a: np.ndarray, b: np.ndarray, t0: np.ndarray, t1: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Both players' indifference systems for a stack of support pairs.
-
-    Row k of ``t0`` (N x s0) and of ``t1`` (N x s1) is one pair. Player 0
-    indifferent across t0 pins down player 1's mixture (``m_y``, N x s0 x
-    s1), and vice versa (``m_x``, N x s1 x s0); each system carries the
-    simplex normalization as its last row, so its right-hand side is the
-    last unit vector.
-    """
-    sub_a = a[t0[:, :, None], t1[:, None, :]]
-    sub_b = b[t0[:, :, None], t1[:, None, :]]
-    n, s0, s1 = sub_a.shape
-    m_y = np.concatenate(
-        [sub_a[:, 1:, :] - sub_a[:, :1, :], np.ones((n, 1, s1))], axis=1
-    )
-    m_x = np.concatenate(
-        [(sub_b[:, :, 1:] - sub_b[:, :, :1]).transpose(0, 2, 1), np.ones((n, 1, s0))],
-        axis=1,
-    )
-    return m_y, m_x
-
-
 def _lstsq_stack(matrices: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Rank and minimum-norm least-squares solution ``V diag(1/s) U^T rhs``
     of each system ``matrices[k] x = rhs[k]`` (or ``rhs``, if 1-D), over the
@@ -518,52 +494,6 @@ def _solve_stack(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return mixtures, ok, degenerate
 
 
-def _two_player_mixed_candidates(
-    game: Game,
-    supports0: Sequence[tuple[int, ...]],
-    supports1: Sequence[tuple[int, ...]],
-) -> dict[tuple[tuple[int, ...], tuple[int, ...]], list[tuple[list[np.ndarray], bool]]]:
-    """Candidates of a two-player game on every support pair with a support
-    of two or more strategies, keyed by the pair (at most one each); pairs
-    without one are left out.
-
-    Pairs are solved one stack per (|t0|, |t1|) bucket, in chunks of at most
-    ``STACK_FLOATS`` floats per matrix stack, by ``_solve_stack``. The
-    taller of a chunk's two systems is solved first, and its partner only
-    on the pairs the first accepts. A pair whose two systems are both
-    accepted yields a candidate, ``degenerate`` if either system is.
-    """
-    a, b = np.moveaxis(game.payoff_tensor, -1, 0)
-    m0, m1 = game.strategy_counts
-    # Supports come in increasing size, so each group holds one size.
-    groups0 = [list(g) for _, g in itertools.groupby(supports0, len)]
-    groups1 = [list(g) for _, g in itertools.groupby(supports1, len)]
-    found = {}
-    for group0 in groups0:
-        for group1 in groups1:
-            s0, s1 = len(group0[0]), len(group1[0])
-            if s0 == s1 == 1:
-                continue
-            rows0, rows1 = np.array(group0), np.array(group1)
-            pairs = len(group0) * len(group1)
-            step = max(1, STACK_FLOATS // (s0 * s1))
-            for start in range(0, pairs, step):
-                i0, i1 = np.divmod(np.arange(start, min(start + step, pairs)), len(group1))
-                m_y, m_x = _indifference_systems(a, b, rows0[i0], rows1[i1])
-                order = 1 if s0 >= s1 else -1  # m_y has s0 rows, m_x has s1
-                first, second = (m_y, m_x)[::order]
-                mix1, ok1, degen1 = _solve_stack(first)
-                hit = np.flatnonzero(ok1)
-                mix2, ok2, degen2 = _solve_stack(second[hit])
-                hit = hit[ok2]
-                y, x = (mix1[hit], mix2[ok2])[::order]
-                for k, xk, yk, degen in zip(hit, x, y, degen1[hit] | degen2[ok2]):
-                    t0, t1 = group0[i0[k]], group1[i1[k]]
-                    vectors = [_embed(m0, t0, xk), _embed(m1, t1, yk)]
-                    found[(t0, t1)] = [(vectors, bool(degen))]
-    return found
-
-
 def _combination_index(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
     """Fancy index of a stack of support combinations: ``tables[j]`` holds
     player j's strategies one row per combination (or one row for all), and
@@ -578,41 +508,65 @@ def _combination_index(tables: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
 def _conditionally_dominated(
     game: Game, tables: Sequence[np.ndarray], tol: float
 ) -> np.ndarray:
-    """Per support combination of one size signature (row c of each
-    ``tables[i]`` is player i's support in combination c): whether some
-    player has an in-support strategy ``a`` and another strategy ``a'`` (in
-    the support or not) that pays more than ``a`` by over ``margin = tol +
-    1e-6 * max(1, |u|max) * s`` against every profile of the other players'
-    supports. ``|u|max`` is the largest payoff, in absolute value, of that
-    player against those profiles, and ``s`` the number of strategies in
-    all the supports.
+    """Per support combination of one size signature, in the order of
+    ``itertools.product`` over the rows of ``tables`` (each row of
+    ``tables[i]`` one support of player i): whether some player has an
+    in-support strategy ``a`` and another strategy ``a'`` that pays more than
+    ``a`` by over ``margin = tol + 1e-6 * U * s`` against every profile of
+    the others' supports. ``U`` is the largest absolute payoff of that player
+    against those profiles, at least 1, and ``s`` the number of strategies in
+    all the supports. Which of a player's strategies are so dominated
+    depends only on the others' supports, so it is found once per
+    combination of theirs, in chunks of at most ``STACK_FLOATS`` gains.
 
-    No candidate of ``_n_player_mixed_candidates`` on such a combination
-    passes the weak check. The candidate keeps the other players inside
-    their supports, so ``a'`` gains over ``a`` by more than ``margin``
-    against their mixture too. The indifference system ties ``a`` to the
-    player's expected utility: its residual is at most 1e-8 and its entries
-    at least -1e-8 before clipping and normalization, which moves each other
-    player's mixture by at most ``(2 |t_j| + 1) * 1e-8`` in 1-norm. So
-    ``a`` falls short of the expected utility by at most about
-    ``8e-8 * max(1, |u|max) * s``, and ``a'`` gains over it by more than
-    ``tol``: the margin sits over 12 times above that slack. The search
-    skips the root solve (Porter, Nudelman and Shoham, GEB 2008).
+    No candidate of ``_mixed_candidates`` on such a combination passes the
+    weak check. It keeps the others inside their supports, so ``a'`` gains
+    over ``a`` by more than ``margin`` against their mixture too. Its
+    indifference system ties ``a`` to the player's expected utility, a
+    mixture of in-support payoffs:
+    - n >= 3: residual at most 1e-8 and entries at least -1e-8 before
+      clipping and normalization, which move each other player's mixture by
+      at most ``(2 |t_j| + 1) * 1e-8`` in 1-norm: ``a`` falls short of the
+      expected utility by at most about ``8e-8 * U * s``;
+    - two players (``_solve_stack``): residual at most ``1e-9 * scale``,
+      ``scale <= 2 U`` for payoff differences, and entries at least -1e-9.
+      While ``U`` is below 1e8 the normalization row keeps the other
+      player's weights summing to at least 0.8; clipping moves each payoff
+      difference by at most ``2 U |t_j| 1e-9`` and normalization scales it
+      by at most 1.25: each in-support strategy pays within
+      ``2.5e-9 * U * s`` of the first, and ``a`` falls short of the expected
+      utility by at most twice that.
+    Either way ``a'`` beats the expected utility by more than ``tol``: the
+    margin sits over 12 times above the slack. The search skips the solve
+    (Porter, Nudelman and Shoham, GEB 2008).
     """
     counts = game.strategy_counts
     size = sum(t.shape[1] for t in tables)
-    dominated = np.zeros(len(tables[0]), dtype=bool)
+    shape = [len(t) for t in tables]
+    dominated = np.zeros(shape, dtype=bool)
     for i, own in enumerate(tables):
-        axes = list(tables)
-        axes[i] = np.arange(counts[i])[None]
-        u = game.payoff_tensor[..., i][_combination_index(axes)]
-        u = np.moveaxis(u, i + 1, 1).reshape(len(own), counts[i], -1)
-        margin = tol + 1e-6 * np.maximum(1.0, np.abs(u).max(axis=(1, 2))) * size
-        # Row a' and column a: the least a' gains over a on any profile.
-        own_u = np.take_along_axis(u, own[:, :, None], axis=1)
-        least_gain = (u[:, :, None, :] - own_u[:, None, :, :]).min(axis=3)
-        dominated |= (least_gain > margin[:, None, None]).any(axis=(1, 2))
-    return dominated
+        m, others = counts[i], tables[:i] + tables[i + 1 :]
+        rest = shape[:i] + shape[i + 1 :]
+        total = math.prod(rest)
+        step = max(1, STACK_FLOATS // (m * m * math.prod(t.shape[1] for t in others)))
+        beaten = []  # per combination of the others' supports and strategy a
+        for start in range(0, total, step):
+            flat = np.arange(start, min(start + step, total))
+            axes = [t[r] for t, r in zip(others, np.unravel_index(flat, rest))]
+            axes.insert(i, np.arange(m)[None])
+            u = game.payoff_tensor[..., i][_combination_index(axes)]
+            # Profiles first, then the combination and player i's strategy.
+            u = np.moveaxis(u, i + 1, -1).reshape(len(flat), -1, m).transpose(1, 0, 2)
+            margin = tol + 1e-6 * np.maximum(1.0, np.abs(u).max(axis=(0, 2))) * size
+            # Row a' and column a: the least a' gains over a on any profile.
+            least_gain = (u[..., None] - u[..., None, :]).min(axis=0)
+            beaten.append((least_gain > margin[:, None, None]).any(axis=1))
+        beaten = np.concatenate(beaten)
+        hit = np.zeros((len(beaten), shape[i]), dtype=bool)
+        for column in own.T:
+            hit |= beaten[:, column]
+        dominated |= np.moveaxis(hit.reshape(rest + [shape[i]]), -1, i)
+    return dominated.reshape(-1)
 
 
 def _indifference_system(
@@ -701,23 +655,94 @@ def _newton(
     return z, worst, jac
 
 
-def _n_player_mixed_candidates(
+def _two_player_blocks(
+    sub: np.ndarray, sizes: Sequence[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The two linear systems of a stack of two-player support pairs, as
+    blocks of the Jacobian of ``_indifference_system``, which on two players
+    does not depend on the point. Player 0's payoff-difference rows and
+    player 1's normalization row, on player 1's columns, pin down player 1's
+    mixture (``m_y``, |t0| x |t1|); the mirror image pins down player 0's
+    (``m_x``, |t1| x |t0|). Each right-hand side is the last unit vector."""
+    s0, width = sizes[0], sum(sizes)
+    jac = _indifference_system(sub, np.zeros((len(sub), width)), sizes)[1]
+    m_y = jac[:, np.r_[: s0 - 1, width - 1], s0:]
+    m_x = jac[:, np.r_[s0 : width - 1, s0 - 1], :s0]
+    return m_y, m_x
+
+
+def _linear_roots(sub: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The solutions of a stack of two-player support pairs, as ``(rows of
+    sub, both mixtures concatenated, degenerate)``. ``_solve_stack`` solves
+    the taller of the two ``_two_player_blocks`` first, and its partner only
+    on the pairs the first accepts. A pair whose two systems are both
+    accepted has a solution, ``degenerate`` if either system is."""
+    m_y, m_x = _two_player_blocks(sub, sizes)
+    order = 1 if sizes[0] >= sizes[1] else -1  # m_y has s0 rows, m_x has s1
+    first, second = (m_y, m_x)[::order]
+    mix1, ok1, degen1 = _solve_stack(first)
+    hit = np.flatnonzero(ok1)
+    mix2, ok2, degen2 = _solve_stack(second[hit])
+    hit = hit[ok2]
+    y, x = (mix1[hit], mix2[ok2])[::order]
+    return hit, np.hstack([x, y]), degen1[hit] | degen2[ok2]
+
+
+def _newton_starts(sizes: Sequence[int]) -> np.ndarray:
+    """The uniform point, then 16 interior points from a fixed seed."""
+    rng = np.random.default_rng(0)
+    return np.vstack([
+        np.concatenate([np.full(s, 1.0 / s) for s in sizes]),
+        np.concatenate([rng.dirichlet(np.ones(s), 16) for s in sizes], axis=1),
+    ])
+
+
+def _newton_roots(sub: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ...]:
+    """The roots of a stack of multilinear indifference systems, as ``(rows
+    of sub, support weights concatenated, degenerate)``, by one ``_newton``
+    run from every ``_newton_starts`` point per system. A root has residual
+    at most 1e-8 and entries at least -1e-8; it is clipped at zero and each
+    player's weights normalized. A rank-deficient Jacobian at a root marks a
+    continuum of roots on its support, and the root is reported as a family
+    sample. After a system's first root only other regular roots are added,
+    in start order, so a continuum gives at most one sample."""
+    starts = _newton_starts(sizes)
+    block, width = starts.shape
+    z, worst, jac = _newton(
+        np.repeat(sub, block, axis=0), np.tile(starts, (len(sub), 1)), sizes
+    )
+    roots = np.flatnonzero((worst <= 1e-8) & (z.min(axis=1) >= -1e-8))
+    z, owners = z[roots], roots // block
+    degenerate = np.linalg.matrix_rank(jac[roots]) < width
+    kept = []
+    for _, group in itertools.groupby(range(len(z)), owners.__getitem__):
+        mine = [next(group)]
+        for k in group:
+            if not degenerate[k] and (np.abs(z[mine] - z[k]).max(axis=1) > DEDUP_TOL).all():
+                mine.append(k)
+        kept += mine
+    weights = [
+        np.concatenate([p / p.sum() for p in np.split(x, np.cumsum(sizes)[:-1])])
+        for x in np.clip(z[kept], 0.0, None)
+    ]
+    return owners[kept], np.array(weights).reshape(-1, width), degenerate[kept]
+
+
+def _mixed_candidates(
     game: Game, supports: Sequence[Sequence[tuple[int, ...]]], tol: float
 ) -> dict[tuple[tuple[int, ...], ...], list[tuple[list[np.ndarray], bool]]]:
-    """Candidates of a game of three or more players on every support
-    combination in which some support has two or more strategies, keyed by
-    the combination; combinations without one are left out.
+    """Candidates on every support combination in which some support has two
+    or more strategies, keyed by the combination; combinations without a
+    candidate are left out. Candidates are validated downstream.
 
-    Combinations are taken one stack per support-size signature. The stack
-    first drops each combination with a conditionally dominated in-support
-    strategy (``_conditionally_dominated``). ``_newton`` then solves the
-    multilinear indifference systems of the rest from the uniform point and
-    16 fixed interior points each, in chunks of at most ``STACK_FLOATS``
-    Jacobian and sub-tensor floats. Each distinct root of a combination with
-    residual at most 1e-8 and entries at least -1e-8 is a candidate, in
-    start order; candidates are validated downstream. One start misses roots
-    that MINPACK ``hybrj`` reaches from the uniform point, and a support can
-    hold several equilibria.
+    Combinations are taken one stack per support-size signature, for any
+    number of players. A stack first drops each combination with a
+    conditionally dominated in-support strategy. The others' sub-tensors
+    are taken by one fancy index per chunk of at most ``STACK_FLOATS``
+    floats of Jacobians and sub-tensors, and the chunk is solved at once:
+    two players' linear systems by ``_linear_roots`` (at most one candidate
+    per pair), more players' by ``_newton_roots`` (several per combination
+    where its starts reach several roots).
     """
     counts = game.strategy_counts
     # Supports come in increasing size, so each group holds one size.
@@ -729,50 +754,27 @@ def _n_player_mixed_candidates(
             continue
         tables = [np.array(group) for group in signature]
         shape = [len(group) for group in signature]
-        total, cells = math.prod(shape), math.prod(sizes)
-        step = max(1, STACK_FLOATS // (max(counts) * cells))
-        alive = []
-        for start in range(0, total, step):
-            flat = np.arange(start, min(start + step, total))
-            chunk = [t[r] for t, r in zip(tables, np.unravel_index(flat, shape))]
-            alive.append(flat[~_conditionally_dominated(game, chunk, tol)])
-        alive = np.concatenate(alive)
-        rng = np.random.default_rng(0)
-        starts = np.vstack([
-            np.concatenate([np.full(s, 1.0 / s) for s in sizes]),
-            np.concatenate([rng.dirichlet(np.ones(s), 16) for s in sizes], axis=1),
-        ])
-        block, width = starts.shape
-        step = max(1, STACK_FLOATS // (block * (width * width + game.n * cells)))
+        alive = np.flatnonzero(~_conditionally_dominated(game, tables, tol))
+        # Two players' systems are linear: one Jacobian per combination.
+        if game.n == 2:
+            solve, points = _linear_roots, 1
+        else:
+            solve, points = _newton_roots, len(_newton_starts(sizes))
+        floats = points * (sum(sizes) ** 2 + game.n * math.prod(sizes))
+        step = max(1, STACK_FLOATS // floats)
         for start in range(0, alive.size, step):
             rows = np.unravel_index(alive[start : start + step], shape)
             chunk = [t[r] for t, r in zip(tables, rows)]
             sub = game.payoff_tensor[_combination_index(chunk)]
-            z, worst, jac = _newton(
-                np.repeat(sub, block, axis=0), np.tile(starts, (len(sub), 1)), sizes
-            )
-            roots = np.flatnonzero((worst <= 1e-8) & (z.min(axis=1) >= -1e-8))
-            # A rank-deficient Jacobian at a root marks a continuum of roots
-            # on its support, and the root is reported as a family sample.
-            # After a combination's first root only other regular roots are
-            # added, so a continuum gives at most one sample.
-            degenerate = np.linalg.matrix_rank(jac[roots]) < width
-            owners = itertools.groupby(zip(roots, degenerate), lambda root: root[0] // block)
-            for c, group in owners:
+            owners, weights, degenerate = solve(sub, sizes)
+            # Row k of vectors[j]: player j's strategy vector of candidate k.
+            vectors = [np.zeros((owners.size, m)) for m in counts]
+            parts = np.split(weights, np.cumsum(sizes)[:-1], axis=1)
+            for v, t, part in zip(vectors, chunk, parts):
+                np.put_along_axis(v, t[owners], part, axis=1)
+            for c, group in itertools.groupby(range(owners.size), owners.__getitem__):
                 combo = tuple(g[r[c]] for g, r in zip(signature, rows))
-                out, kept = [], []
-                for k, degen in group:
-                    if kept and (
-                        degen or (np.abs(z[kept] - z[k]).max(axis=1) <= DEDUP_TOL).any()
-                    ):
-                        continue
-                    kept.append(k)
-                    probs = np.split(np.clip(z[k], 0.0, None), np.cumsum(sizes)[:-1])
-                    vectors = [
-                        _embed(m, t, p / p.sum()) for m, t, p in zip(counts, combo, probs)
-                    ]
-                    out.append((vectors, bool(degen)))
-                found[combo] = out
+                found[combo] = [([v[k] for v in vectors], bool(degenerate[k])) for k in group]
     return found
 
 
@@ -787,24 +789,22 @@ def support_enumeration(
     which some support has two or more strategies; pure profiles are left to
     ``enumerate_pure_equilibria``. The budget counts every combination.
 
-    On each combination the indifference system (equal expected utility
-    across in-support strategies, probabilities nonnegative and summing to
-    one) is solved; solutions are validated with ``is_equilibrium`` and then
-    deduplicated within per-coordinate distance 1e-6. A solution may still
+    ``_mixed_candidates`` solves the indifference system of each
+    combination (equal expected utility across in-support strategies,
+    probabilities nonnegative and summing to one) in stacks by support-size
+    signature, for any number of players. It skips a combination in which
+    some in-support strategy is conditionally dominated by more than a
+    margin over ``tol``, as none of its candidates could pass validation.
+    Candidates are validated with ``is_equilibrium`` in combination order
+    and then deduplicated within per-coordinate distance 1e-6, so the first
+    of a cluster of near-duplicates is the one kept. A solution may still
     be pure once clipped. Singular systems are sampled rather than skipped:
     the sample is reported with ``degenerate=True`` to mark a continuum of
-    equilibria on that support. Two players' linear systems are solved in
-    stacks by support size, each by the SVD's minimum-norm least-squares
-    solution (``_solve_stack``); every candidate is still validated in
-    combination order, so the first of a cluster of near-duplicates is the
-    one kept. On three or more players the combinations are stacked by
-    support-size signature (``_n_player_mixed_candidates``). A combination
-    in which some in-support strategy is conditionally dominated by more
-    than a margin over ``tol`` is skipped, as none of its candidates could
-    pass validation; the others of a stack get one Newton run on the exact
-    Jacobian from 17 fixed starts each (LU steps, and least-squares steps
-    where a Jacobian is exactly singular), so equilibria that these starts
-    miss are not found.
+    equilibria on that support. Two players' systems are linear, each solved
+    by the SVD's minimum-norm least squares (``_solve_stack``). On three or
+    more players each gets one Newton run on the exact Jacobian from 17
+    fixed starts (LU steps, and least-squares steps where a Jacobian is
+    exactly singular), so equilibria that these starts miss are not found.
     """
     _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts
@@ -815,10 +815,7 @@ def support_enumeration(
     _check_budget(total, budget, "support_enumeration")
 
     supports = [list(_support_iter(m, cap)) for m, cap in zip(counts, caps)]
-    if game.n == 2:
-        found = _two_player_mixed_candidates(game, *supports)
-    else:
-        found = _n_player_mixed_candidates(game, supports, tol)
+    found = _mixed_candidates(game, supports, tol)
     accepted: list[tuple[MixedProfile, bool]] = []
     for combo in itertools.product(*supports):
         for vectors, degenerate in found.get(combo, ()):

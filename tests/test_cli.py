@@ -325,6 +325,16 @@ def test_bad_spec_file_exits_two(tmp_path):
     assert "error" in err
     code, _, _ = _run("solve", str(tmp_path / "missing.spec"))
     assert code == 2
+    # Partition strings take ASCII digits only; payoffs must fit a float.
+    for payoff in (
+        {"partition": "0|\u00b2", "payoff": [1, 1]},
+        {"partition": "0|\u0661", "payoff": [1, 1]},
+        {"partition": "0|1", "payoff": [10**400, 1]},
+    ):
+        spec = _write_spec(tmp_path / "bad.spec", ["a", "b"], 1, [payoff])
+        code, out, err = _run("solve", str(spec))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: $.payoffs[0].")
 
 
 def test_examples_out_that_cannot_be_written_exits_two(tmp_path):

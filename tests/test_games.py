@@ -202,6 +202,18 @@ def test_payoff_table_rejects_non_finite_values():
         )
 
 
+def test_integers_too_large_for_a_float_are_not_finite():
+    big = 10**400
+    for build in (
+        lambda: cg.make_game(["a", "b"], K=1, default_payoff=[big, 0]),
+        lambda: cg.make_game(["a", "b"], K=2, epsilon_partition="0,1", epsilon_bonus=big),
+        lambda: cg.make_game(["a", "b"], K=1, partition_payoffs={"0|1": [0, -big]}),
+        lambda: cg.coalition_values(cg.parse_partition("0|1", 2), [big, 1]),
+    ):
+        with pytest.raises(cg.InvalidParameterError, match="finite"):
+            build()
+
+
 def test_payoffs_always_finite(dinner, pd2, pd_ext):
     for game in (dinner, pd2, pd_ext):
         assert np.all(np.isfinite(game.payoff_tensor))

@@ -123,6 +123,19 @@ def test_non_finite_payoff_rejected():
     # the string "inf" is not a number either
     obj["payoffs"][0]["payoff"] = [0, "inf"]
     _expect_error(obj, "$.payoffs[0].payoff[1]")
+    # nor is an integer too large for a float, wherever it stands
+    obj["payoffs"][0]["payoff"] = [0, -(10**400)]
+    _expect_error(obj, "$.payoffs[0].payoff[1]")
+    obj = _pd_dict()
+    obj["default_payoff"] = [10**400, 0]
+    _expect_error(obj, "$.default_payoff[0]")
+    obj = _pd_dict()
+    obj["epsilon"]["bonus"] = 10**400
+    _expect_error(obj, "$.epsilon.bonus")
+    # Past the interpreter's limit on integer digits, the JSON itself fails.
+    text = json.dumps(_pd_dict()).replace('"bonus": 0', '"bonus": 1' + "0" * 5000)
+    with pytest.raises(cg.GameSpecError, match="invalid JSON"):
+        parse_spec(text)
 
 
 def test_unknown_rule_rejected():

@@ -121,7 +121,12 @@ def test_parse_partition_canonicalizes_order():
     assert parse_partition("3|2,0|1", 4).key == "0,2|1|3"
 
 
-@pytest.mark.parametrize("text", ["", "0,1", "0,1|1,2", "0|1|2|4", "0,x|1", "0||1"])
+@pytest.mark.parametrize(
+    "text",
+    # The last two are digits to str.isdigit: int() rejects SUPERSCRIPT TWO
+    # and reads ARABIC-INDIC DIGIT THREE as 3.
+    ["", "0,1", "0,1|1,2", "0|1|2|4", "0,x|1", "0||1", "0,1,3|\u00b2", "0,1,2|\u0663"],
+)
 def test_parse_partition_rejects_garbage(text):
     with pytest.raises(InvalidParameterError):
         parse_partition(text, 4)

@@ -311,9 +311,11 @@ def _checked_combinations(calls):
     """The combinations of recorded ``_conditionally_dominated`` calls, in
     call order, with the verdict on each."""
     return [
-        (tuple(tuple(t[c].tolist()) for t in args[1]), bool(dominated[c]))
+        (combo, bool(verdict))
         for args, dominated in calls
-        for c in range(len(dominated))
+        for combo, verdict in zip(
+            itertools.product(*(map(tuple, t.tolist()) for t in args[1])), dominated
+        )
     ]
 
 
@@ -390,16 +392,32 @@ _small_int_games = st.integers(2, 4).flatmap(
 )
 
 
+def _ix_systems(game, t0, t1):
+    """The two indifference systems of one support pair, built row by row
+    from ``np.ix_`` sub-matrices: player 0 indifferent across ``t0`` pins
+    down player 1's mixture (``m_y``), and vice versa (``m_x``); each ends
+    with the simplex normalization row."""
+    a, b = game.payoff_tensor[..., 0], game.payoff_tensor[..., 1]
+    m_y = np.vstack(
+        [a[np.ix_([s], t1)][0] - a[np.ix_([t0[0]], t1)][0] for s in t0[1:]]
+        + [np.ones(len(t1))]
+    )
+    m_x = np.vstack(
+        [b[np.ix_(t0, [s])][:, 0] - b[np.ix_(t0, [t1[0]])][:, 0] for s in t1[1:]]
+        + [np.ones(len(t0))]
+    )
+    return m_y, m_x
+
+
 def _per_pair_support_enumeration(
     game, max_support=None, tol=cg.DEFAULT_TOL, pure=False
 ):
-    """Reference: one pair of ``np.ix_`` systems per support pair, each
+    """Reference: the pair of ``_ix_systems`` of each support pair, each
     solved by ``_solve_stack`` as a stack of one, validated and deduplicated
     as ``support_enumeration`` does. Pairs of two singletons are skipped
     unless ``pure``; with it, each weak pure profile is also a candidate of
     its pair."""
     counts = game.strategy_counts
-    a, b = game.payoff_tensor[..., 0], game.payoff_tensor[..., 1]
     _, weak, _ = solver._pure_regret_arrays(game, tol)
     supports = [solver._support_iter(m, min(m, max_support or m)) for m in counts]
     accepted = []
@@ -411,14 +429,7 @@ def _per_pair_support_enumeration(
             vectors[0][t0[0]] = vectors[1][t1[0]] = 1.0
             degenerate = False
         else:
-            m_y = np.vstack(
-                [a[np.ix_([s], t1)][0] - a[np.ix_([t0[0]], t1)][0] for s in t0[1:]]
-                + [np.ones(len(t1))]
-            )
-            m_x = np.vstack(
-                [b[np.ix_(t0, [s])][:, 0] - b[np.ix_(t0, [t1[0]])][:, 0] for s in t1[1:]]
-                + [np.ones(len(t0))]
-            )
+            m_y, m_x = _ix_systems(game, t0, t1)
             y, ok_y, degen_y = solver._solve_stack(m_y[None])
             x, ok_x, degen_x = solver._solve_stack(m_x[None])
             if not (ok_x[0] and ok_y[0]):
@@ -591,7 +602,7 @@ def test_dedup_runs_only_when_the_mixed_search_found_results(
 def test_n_player_search_tries_only_mixed_combinations(monkeypatch):
     game = _coordination_game()
     checked = _record_calls(monkeypatch, "_conditionally_dominated")
-    searched = _record_calls(monkeypatch, "_n_player_mixed_candidates")
+    searched = _record_calls(monkeypatch, "_mixed_candidates")
     validated = _record_calls(monkeypatch, "is_equilibrium")
     results, _ = _solve_game(game, SolveOptions())
     mixed = _mixed_combinations(game)
@@ -603,20 +614,46 @@ def test_n_player_search_tries_only_mixed_combinations(monkeypatch):
     assert {((0,), (0,), (0,)), ((1,), (1,), (1,))} <= {r.support for r in results}
 
 
-def _bucket_stacks(game):
-    """Both players' indifference stacks of every (|t0|, |t1|) bucket in
-    which some support has two or more strategies."""
-    a, b = game.payoff_tensor[..., 0], game.payoff_tensor[..., 1]
+def _buckets(game):
+    """Per (|t0|, |t1|) bucket in which some support has two or more
+    strategies: its support pairs, and the two stacks of indifference
+    systems ``_two_player_blocks`` builds for them, as the search does."""
     m0, m1 = game.strategy_counts
-    for s0, s1 in itertools.product(range(1, m0 + 1), range(1, m1 + 1)):
-        if s0 == s1 == 1:
+    for sizes in itertools.product(range(1, m0 + 1), range(1, m1 + 1)):
+        if max(sizes) == 1:
             continue
         pairs = list(itertools.product(
-            itertools.combinations(range(m0), s0), itertools.combinations(range(m1), s1)
+            itertools.combinations(range(m0), sizes[0]),
+            itertools.combinations(range(m1), sizes[1]),
         ))
-        t0 = np.array([p[0] for p in pairs])
-        t1 = np.array([p[1] for p in pairs])
-        yield from solver._indifference_systems(a, b, t0, t1)
+        tables = [np.array(t) for t in zip(*pairs)]
+        sub = game.payoff_tensor[solver._combination_index(tables)]
+        yield pairs, solver._two_player_blocks(sub, sizes)
+
+
+def _bucket_stacks(game):
+    """Both players' indifference stacks of every bucket of ``_buckets``."""
+    for _, blocks in _buckets(game):
+        yield from blocks
+
+
+def _assert_blocks_are_the_ix_systems(game):
+    for pairs, (m_y, m_x) in _buckets(game):
+        for (t0, t1), y_system, x_system in zip(pairs, m_y, m_x):
+            ix_y, ix_x = _ix_systems(game, t0, t1)
+            assert np.array_equal(y_system, ix_y) and np.array_equal(x_system, ix_x)
+
+
+def test_two_player_blocks_are_the_per_pair_ix_systems():
+    for m in range(2, 6):
+        for seed in range(3):
+            _assert_blocks_are_the_ix_systems(_generic_game(m, seed))
+
+
+@_hypothesis_settings
+@given(_small_int_games)
+def test_two_player_blocks_are_the_per_pair_ix_systems_on_tied_payoffs(game):
+    _assert_blocks_are_the_ix_systems(game)
 
 
 def _scalar_solve(matrix):
@@ -742,16 +779,17 @@ _tied_three_player_games = st.builds(
 )
 
 
-@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_three_player_games, st.sampled_from([1e-9, 1e-3, 0.5]))
-def test_dominance_pruning_changes_no_result(game, tol):
+def _assert_pruning_changes_no_result(game, tol):
     supports = [list(solver._support_iter(m, m)) for m in game.strategy_counts]
-    # One stack per support-size signature, as the search checks them.
+    # One check per support-size signature, as the search makes them.
     signatures = {}
     for combo in itertools.product(*supports):
         signatures.setdefault(tuple(map(len, combo)), []).append(combo)
-    for combos in signatures.values():
-        tables = [np.array(t) for t in zip(*combos)]
+    for sizes, combos in signatures.items():
+        tables = [
+            np.array(list(itertools.combinations(range(m), s)))
+            for m, s in zip(game.strategy_counts, sizes)
+        ]
         assert solver._conditionally_dominated(game, tables, tol).tolist() == [
             _dominated_oracle(game, combo, tol) for combo in combos
         ]
@@ -759,7 +797,7 @@ def test_dominance_pruning_changes_no_result(game, tol):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(
             solver, "_conditionally_dominated",
-            lambda game, tables, tol: np.zeros(len(tables[0]), dtype=bool),
+            lambda game, tables, tol: np.zeros(np.prod([len(t) for t in tables]), dtype=bool),
         )
         expected = cg.support_enumeration(game, tol=tol)
     assert len(got) == len(expected)
@@ -768,6 +806,25 @@ def test_dominance_pruning_changes_no_result(game, tol):
             np.array_equal(v, w) for v, w in zip(r.profile.vectors(), e.profile.vectors())
         )
         assert (r.support, r.degenerate, r.strict) == (e.support, e.degenerate, e.strict)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    _three_player_games,
+    st.integers(2, 4),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-9, 1e-3, 0.5]),
+)
+def test_dominance_pruning_changes_no_result(game, m, seed, tol):
+    """On a three-player game, and on a generic and a tied two-player game
+    with ``m`` actions each."""
+    rng = np.random.default_rng(seed)
+    two_player = [
+        _action_game(rng.random((m, m, 2))),
+        _action_game(rng.integers(0, 3, (m, m, 2)).astype(float)),
+    ]
+    for g in [game] + two_player:
+        _assert_pruning_changes_no_result(g, tol)
 
 
 def _indifference_residuals(sub, probs):
@@ -884,7 +941,7 @@ def test_newton_finds_every_root_hybrj_finds(monkeypatch, tol):
         got = cg.support_enumeration(game, tol=tol)
         with monkeypatch.context() as mp:
             mp.setattr(
-                solver, "_n_player_mixed_candidates",
+                solver, "_mixed_candidates",
                 lambda game, supports, tol: {
                     combo: _hybrj_candidates(game, combo, tol)
                     for combo in itertools.product(*supports)
@@ -908,7 +965,7 @@ def test_newton_finds_every_root_hybrj_finds(monkeypatch, tol):
 
 
 def _per_combination_candidates(game, supports, tol):
-    """Reference for ``solver._n_player_mixed_candidates`` on one
+    """Reference for ``solver._mixed_candidates`` on one n-player
     combination: its own dominance check, one ``np.ix_`` sub-tensor and one
     ``_newton`` run on its 17 starts alone, then the same acceptance test,
     rank test, dedup, clipping and normalization, in start order."""
@@ -942,7 +999,7 @@ def _per_combination_candidates(game, supports, tol):
 
 def _assert_matches_per_combination(game, tol=cg.DEFAULT_TOL):
     supports = [list(solver._support_iter(m, m)) for m in game.strategy_counts]
-    got = solver._n_player_mixed_candidates(game, supports, tol)
+    got = solver._mixed_candidates(game, supports, tol)
     expected = {}
     for combo in _mixed_combinations(game):
         candidates = _per_combination_candidates(game, combo, tol)
@@ -1066,6 +1123,25 @@ def test_one_newton_run_per_support_size_signature(monkeypatch):
     assert len(solved) == len(signatures) < len(survivors)
     assert sorted(tuple(args[2]) for args, _ in solved) == sorted(signatures)
     assert sum(len(args[1]) for args, _ in solved) == 17 * len(survivors)
+
+
+def test_two_solve_stack_calls_per_support_size_signature(monkeypatch):
+    """A two-player search solves each signature's surviving pairs in one
+    stack per block: the taller block of every pair, then its partner on
+    the pairs the first accepts."""
+    game = _generic_game(5, 5)
+    solved = _record_calls(monkeypatch, "_solve_stack")
+    cg.support_enumeration(game)
+    tol = cg.DEFAULT_TOL
+    survivors = [c for c in _mixed_combinations(game) if not _dominated_oracle(game, c, tol)]
+    signatures = {tuple(map(len, c)) for c in survivors}
+    assert len(signatures) > 1
+    assert len(solved) == 2 * len(signatures) < len(survivors)
+    firsts = [args[0] for args, _ in solved[::2]]
+    assert sorted(stack.shape[1:] for stack in firsts) == sorted(
+        (max(sizes), min(sizes)) for sizes in signatures
+    )
+    assert sum(len(stack) for stack in firsts) == len(survivors)
 
 
 # --- partition pushforward --------------------------------------------------
