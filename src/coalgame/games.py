@@ -141,6 +141,8 @@ def _as_finite_vector(values: Sequence[float], n: int, what: str) -> tuple[float
         raise InvalidParameterError(
             f"{what} must be finite, got an integer too large for a float"
         ) from None
+    except (TypeError, ValueError):
+        raise InvalidParameterError(f"{what} must hold numbers, got {values!r}") from None
     if len(vec) != n:
         raise InvalidParameterError(f"{what} must have length {n}, got {len(vec)}")
     if not all(np.isfinite(vec)):

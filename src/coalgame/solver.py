@@ -12,10 +12,10 @@ combinations with a conditionally dominated in-support strategy and solves
 the others' indifference systems at once: two players' systems are linear,
 solved by ``_solve_stack``; more players' get one Newton run on the exact
 Jacobian, from the uniform point and 16 fixed interior points per
-combination. Each candidate is validated with ``is_equilibrium`` before it
-is reported. One SVD kernel, ``_lstsq_stack``, solves every two-player
-system and every exactly singular Newton step. The reported ``max_regret`` is the largest
-improvement any pure deviation achieves (floored at zero).
+combination. One ``_deviation_payoffs`` pass validates each candidate and
+gives its result. One SVD kernel, ``_lstsq_stack``, solves every two-player
+system and every exactly singular Newton step. The reported ``max_regret``
+is the largest improvement any pure deviation achieves (floored at zero).
 
 All operations are pure functions of an immutable :class:`~coalgame.games.Game`.
 """
@@ -52,7 +52,7 @@ _NORM_TOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class MixedStrategy:
     """A probability vector over one player's strategy list (normalized on
-    construction; entries nonnegative, sum within 1e-12 of one)."""
+    construction; entries finite and nonnegative, sum within 1e-12 of one)."""
 
     probabilities: np.ndarray
 
@@ -60,6 +60,8 @@ class MixedStrategy:
         probs = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
         if probs.size == 0:
             raise InvalidParameterError("mixed strategy over an empty strategy set")
+        if not np.isfinite(probs).all():
+            raise InvalidParameterError(f"non-finite probability in mixed strategy {probs}")
         if probs.min() < -_NORM_TOL:
             raise InvalidParameterError(
                 f"negative probability {probs.min()} in mixed strategy"
@@ -320,26 +322,6 @@ def _pure_cell(sigmas: Sequence[np.ndarray]) -> tuple[int, ...] | None:
             return None
         cell.append(int(hot[0]))
     return tuple(cell)
-
-
-def _make_result(
-    game: Game, profile: MixedProfile, tol: float, degenerate: bool
-) -> EquilibriumResult:
-    """Package a profile that passed the weak check."""
-    sigmas = _sigmas(game, profile)
-    eu, max_regret, strict = _regret_and_strict(
-        sigmas, _deviation_payoffs(game.payoff_tensor, sigmas), tol
-    )
-    return EquilibriumResult(
-        profile=profile,
-        mode="weak",
-        payoffs=eu,
-        partition_distribution=equilibrium_partitions(game, profile),
-        max_regret=max_regret,
-        support=tuple(s.support for s in profile.strategies),
-        strict=strict,
-        degenerate=degenerate,
-    )
 
 
 def _distinct(profiles: Sequence[MixedProfile]) -> list[int]:
@@ -795,8 +777,9 @@ def support_enumeration(
     signature, for any number of players. It skips a combination in which
     some in-support strategy is conditionally dominated by more than a
     margin over ``tol``, as none of its candidates could pass validation.
-    Candidates are validated with ``is_equilibrium`` in combination order
-    and then deduplicated within per-coordinate distance 1e-6, so the first
+    In combination order, one ``_deviation_payoffs`` pass per candidate gives
+    the weak check and its result's payoffs, regret and strictness. Accepted
+    ones are deduplicated within per-coordinate distance 1e-6, so the first
     of a cluster of near-duplicates is the one kept. A solution may still
     be pure once clipped. Singular systems are sampled rather than skipped:
     the sample is reported with ``degenerate=True`` to mark a continuum of
@@ -816,14 +799,25 @@ def support_enumeration(
 
     supports = [list(_support_iter(m, cap)) for m, cap in zip(counts, caps)]
     found = _mixed_candidates(game, supports, tol)
-    accepted: list[tuple[MixedProfile, bool]] = []
-    for combo in itertools.product(*supports):
-        for vectors, degenerate in found.get(combo, ()):
+    position = [{support: k for k, support in enumerate(s)} for s in supports]
+    kept = []  # per accepted candidate: profile, degenerate, payoffs, regret, strict
+    # Combinations in ``itertools.product(*supports)`` order.
+    for combo in sorted(found, key=lambda c: [p[t] for p, t in zip(position, c)]):
+        for vectors, degenerate in found[combo]:
             profile = MixedProfile.from_vectors(vectors)
-            if is_equilibrium(game, profile, "weak", tol).ok:
-                accepted.append((profile, degenerate))
-    return [
-        _make_result(game, accepted[i][0], tol, accepted[i][1])
-        for i in _distinct([profile for profile, _ in accepted])
-    ]
-
+            sigmas = profile.vectors()
+            eu, max_regret, strict = _regret_and_strict(
+                sigmas, _deviation_payoffs(game.payoff_tensor, sigmas), tol
+            )
+            if max_regret <= tol:
+                kept.append((profile, degenerate, eu, max_regret, strict))
+    results = []
+    for i in _distinct([k[0] for k in kept]):
+        profile, degenerate, eu, max_regret, strict = kept[i]
+        results.append(EquilibriumResult(
+            profile=profile, mode="weak", payoffs=eu,
+            partition_distribution=equilibrium_partitions(game, profile),
+            max_regret=max_regret, support=tuple(s.support for s in profile.strategies),
+            strict=strict, degenerate=degenerate,
+        ))
+    return results

@@ -214,6 +214,18 @@ def test_integers_too_large_for_a_float_are_not_finite():
             build()
 
 
+def test_non_numeric_payoff_entries_are_invalid_parameters():
+    for build in (
+        lambda: cg.make_game(["a", "b"], K=1, default_payoff=["x", 0]),
+        lambda: cg.make_game(["a", "b"], K=1, default_payoff=[None, 0]),
+        lambda: cg.make_game(["a", "b"], K=2, epsilon_partition="0,1", epsilon_bonus=[0, "x"]),
+        lambda: cg.make_game(["a", "b"], K=1, partition_payoffs={"0|1": [0, None]}),
+        lambda: cg.coalition_values(cg.parse_partition("0|1", 2), ["x", 1]),
+    ):
+        with pytest.raises(cg.InvalidParameterError, match="must hold numbers"):
+            build()
+
+
 def test_payoffs_always_finite(dinner, pd2, pd_ext):
     for game in (dinner, pd2, pd_ext):
         assert np.all(np.isfinite(game.payoff_tensor))

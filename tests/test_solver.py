@@ -1,4 +1,5 @@
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -154,6 +155,16 @@ def test_mixed_strategy_normalizes_and_validates():
     assert s.probabilities.tolist() == [0.5, 0.5]
     with pytest.raises(cg.InvalidParameterError):
         cg.MixedStrategy(np.array([0.5, -0.5]))
+
+
+def test_non_finite_probabilities_are_rejected():
+    # max(0.0, nan) is 0.0: a NaN profile would pass every equilibrium check.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(cg.InvalidParameterError, match="non-finite"):
+            cg.MixedProfile.from_vectors([[bad, 1.0], [1.0, 0.0]])
+    report = json.loads('{"equilibria": [{"profile": [[NaN, 1], [1, 0]]}]}')
+    with pytest.raises(cg.InvalidParameterError, match="non-finite"):
+        cg.profiles_from_report(report)
 
 
 # --- pure equilibrium enumeration -------------------------------------------
@@ -413,10 +424,10 @@ def _per_pair_support_enumeration(
     game, max_support=None, tol=cg.DEFAULT_TOL, pure=False
 ):
     """Reference: the pair of ``_ix_systems`` of each support pair, each
-    solved by ``_solve_stack`` as a stack of one, validated and deduplicated
-    as ``support_enumeration`` does. Pairs of two singletons are skipped
-    unless ``pure``; with it, each weak pure profile is also a candidate of
-    its pair."""
+    solved by ``_solve_stack`` as a stack of one, validated by
+    ``is_equilibrium``, deduplicated, and packaged from a second deviation
+    pass. Pairs of two singletons are skipped unless ``pure``; with it, each
+    weak pure profile is also a candidate of its pair."""
     counts = game.strategy_counts
     _, weak, _ = solver._pure_regret_arrays(game, tol)
     supports = [solver._support_iter(m, min(m, max_support or m)) for m in counts]
@@ -443,10 +454,24 @@ def _per_pair_support_enumeration(
             continue
         if cg.is_equilibrium(game, profile, "weak", tol).ok:
             accepted.append((profile, degenerate))
-    return [
-        solver._make_result(game, accepted[i][0], tol, accepted[i][1])
-        for i in _distinct([profile for profile, _ in accepted])
-    ]
+    results = []
+    for i in _distinct([profile for profile, _ in accepted]):
+        profile, degenerate = accepted[i]
+        sigmas = profile.vectors()
+        eu, max_regret, strict = solver._regret_and_strict(
+            sigmas, solver._deviation_payoffs(game.payoff_tensor, sigmas), tol
+        )
+        results.append(cg.EquilibriumResult(
+            profile=profile,
+            mode="weak",
+            payoffs=eu,
+            partition_distribution=cg.equilibrium_partitions(game, profile),
+            max_regret=max_regret,
+            support=tuple(s.support for s in profile.strategies),
+            strict=strict,
+            degenerate=degenerate,
+        ))
+    return results
 
 
 def _assert_same_results(game, max_support=None):
@@ -568,7 +593,7 @@ def test_one_pure_regret_pass_per_solve(monkeypatch, pd2, pd_ext, pennies, dinne
 
 
 def test_no_validation_at_support_size_one(monkeypatch, pd2, pd_ext, dinner):
-    calls = _record_calls(monkeypatch, "is_equilibrium")
+    calls = _record_calls(monkeypatch, "_deviation_payoffs")
     options = SolveOptions(max_support=1, budget=20000)
     for game in (pd2, pd_ext, _coordination_game(), dinner):
         results, notes = _solve_game(game, options)
@@ -603,7 +628,7 @@ def test_n_player_search_tries_only_mixed_combinations(monkeypatch):
     game = _coordination_game()
     checked = _record_calls(monkeypatch, "_conditionally_dominated")
     searched = _record_calls(monkeypatch, "_mixed_candidates")
-    validated = _record_calls(monkeypatch, "is_equilibrium")
+    validated = _record_calls(monkeypatch, "_deviation_payoffs")
     results, _ = _solve_game(game, SolveOptions())
     mixed = _mixed_combinations(game)
     assert sorted(c for c, _ in _checked_combinations(checked)) == sorted(mixed)
@@ -612,6 +637,17 @@ def test_n_player_search_tries_only_mixed_combinations(monkeypatch):
     # Every validation is of a candidate from a mixed combination.
     assert len(validated) == sum(len(out) for out in found.values())
     assert {((0,), (0,), (0,)), ((1,), (1,), (1,))} <= {r.support for r in results}
+
+
+def test_one_deviation_pass_per_candidate(monkeypatch):
+    game = _action_game(np.zeros((4, 4, 2)))
+    searched = _record_calls(monkeypatch, "_mixed_candidates")
+    passes = _record_calls(monkeypatch, "_deviation_payoffs")
+    results = cg.support_enumeration(game)
+    ((_, found),) = searched
+    candidates = sum(len(out) for out in found.values())
+    assert results
+    assert len(passes) == candidates
 
 
 def _buckets(game):
