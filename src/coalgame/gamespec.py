@@ -367,7 +367,6 @@ def build_game(
     K: int | None = None,
     *,
     epsilon_bonus: float | Sequence[float] | None = None,
-    name: str | None = None,
 ) -> Game:
     """Instantiate the game for one max coalition size.
 
@@ -402,5 +401,5 @@ def build_game(
             effective.epsilon.partition_key if effective.epsilon else None
         ),
         epsilon_bonus=(effective.epsilon.bonus if effective.epsilon else 0.0),
-        name=name if name is not None else (effective.name or "game") + f"[K={K}]",
+        name=(effective.name or "game") + f"[K={K}]",
     )

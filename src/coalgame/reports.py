@@ -24,6 +24,9 @@ from .games import Game, MechanismAxiomReport, check_mechanism_axioms
 from .solver import EquilibriumResult, MixedProfile
 from .partitions import Partition
 
+#: Most equilibria listed by ``SolveReport.render_text``; JSON lists them all.
+TEXT_ROWS = 24
+
 
 def pretty_partition(partition: Partition, players: tuple[str, ...]) -> str:
     """Partition rendered with player names, e.g. ``{A,B | C1,C2}``."""
@@ -89,7 +92,7 @@ class SolveReport:
             "notes": list(self.notes),
         }
 
-    def render_text(self, max_rows: int = 24) -> str:
+    def render_text(self) -> str:
         game = self.game
         lines = [
             f"game {game.name or '<unnamed>'}: {len(game.players)} players, "
@@ -103,7 +106,7 @@ class SolveReport:
             lines.append("equilibrium partitions (count of equilibria touching):")
             for p, cnt in by_partition.items():
                 lines.append(f"  {p.key}  {pretty_partition(p, game.players)}  x{cnt}")
-        shown = self.equilibria[:max_rows]
+        shown = self.equilibria[:TEXT_ROWS]
         for idx, result in enumerate(shown):
             dist = ", ".join(
                 f"{p.key}:{w:.6g}" for p, w in result.partition_distribution.items()
@@ -120,9 +123,9 @@ class SolveReport:
                 f"#{idx}: {tag}; payoffs {payoff}; partition {dist}; "
                 f"max_regret {result.max_regret:.3g}; profile {probs}"
             )
-        if len(self.equilibria) > max_rows:
+        if len(self.equilibria) > TEXT_ROWS:
             lines.append(
-                f"... {len(self.equilibria) - max_rows} more; use --format json "
+                f"... {len(self.equilibria) - TEXT_ROWS} more; use --format json "
                 "for the full list"
             )
         for note in self.notes:

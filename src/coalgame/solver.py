@@ -16,6 +16,8 @@ combination. One ``_deviation_payoffs`` pass validates each candidate and
 gives its result. One SVD kernel, ``_lstsq_stack``, solves every two-player
 system and every exactly singular Newton step. The reported ``max_regret``
 is the largest improvement any pure deviation achieves (floored at zero).
+Realized-partition probabilities and utility per partition come from one
+pushforward through the formation rule, ``_pushforward``.
 
 All operations are pure functions of an immutable :class:`~coalgame.games.Game`.
 """
@@ -37,7 +39,8 @@ from .partitions import Partition
 
 DEFAULT_TOL = 1e-9
 #: The two expected-utility formulas (direct sum vs. per-partition sum) must
-#: agree this tightly; a larger gap signals a broken rule or domain partition.
+#: agree this tightly, relative to the player's largest absolute payoff (at
+#: least 1); a larger gap signals a broken rule or domain partition.
 EU_CONSISTENCY_TOL = 1e-10
 #: Candidate equilibria closer than this per coordinate are merged.
 DEDUP_TOL = 1e-6
@@ -67,7 +70,11 @@ class MixedStrategy:
                 f"negative probability {probs.min()} in mixed strategy"
             )
         probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
+        with np.errstate(over="ignore"):
+            total = probs.sum()
+        if total == math.inf:  # finite entries whose sum overflows
+            probs = probs / probs.max()
+            total = probs.sum()
         if total <= 0:
             raise InvalidParameterError("mixed strategy has zero total mass")
         probs = probs / total
@@ -191,7 +198,7 @@ def expected_utility_components(
     game: Game, profile: MixedProfile, player: int
 ) -> tuple[float, float]:
     """Expected utility computed two ways: directly over all pure profiles,
-    and as a sum of per-realized-partition contributions.
+    and as a sum of per-realized-partition contributions (``_pushforward``).
 
     The two must agree whenever the formation rule partitions the profile
     space; their gap is the consistency check behind ``expected_utility``.
@@ -199,33 +206,21 @@ def expected_utility_components(
     if not 0 <= player < game.n:
         raise InvalidParameterError(f"player {player} not in 0..{game.n - 1}")
     sigmas = _sigmas(game, profile)
-    prob = _prob_tensor(sigmas).reshape(-1)
     u = game.payoff_tensor[..., player].reshape(-1)
-    direct = float(prob @ u)
-
-    realized = game.realized_index.reshape(-1)
-    valid = realized >= 0
-    escaped = float(prob[~valid].sum())
-    if escaped > _NORM_TOL:
-        raise InternalInconsistencyError(
-            f"probability mass {escaped} falls on profiles the rule maps "
-            "outside the partition family; the per-partition decomposition "
-            "is undefined"
-        )
-    per_partition = np.bincount(
-        realized[valid], weights=(prob * u)[valid], minlength=len(game.family)
-    )
-    return direct, float(per_partition.sum())
+    direct = float(_prob_tensor(sigmas).reshape(-1) @ u)
+    return direct, float(_pushforward(game, sigmas, u).sum())
 
 
 def expected_utility(game: Game, profile: MixedProfile, player: int) -> float:
     """Expected utility of ``player`` under a mixed profile.
 
     Evaluates both the direct and the partition-decomposed formula and raises
-    if they disagree beyond ``EU_CONSISTENCY_TOL``.
+    if they disagree beyond ``EU_CONSISTENCY_TOL`` times the player's largest
+    absolute payoff (at least 1), as their rounding grows with the payoffs.
     """
     direct, decomposed = expected_utility_components(game, profile, player)
-    if abs(direct - decomposed) > EU_CONSISTENCY_TOL:
+    scale = max(1.0, float(np.abs(game.payoff_tensor[..., player]).max()))
+    if abs(direct - decomposed) > EU_CONSISTENCY_TOL * scale:
         raise InternalInconsistencyError(
             f"expected-utility formulas disagree for player {player}: "
             f"{direct} vs {decomposed}"
@@ -287,41 +282,38 @@ def _regret_and_strict(
     return eu, max_regret, strict
 
 
-def equilibrium_partitions(
-    game: Game, equilibrium: "EquilibriumResult | MixedProfile"
-) -> dict[Partition, float]:
-    """Pushforward of a profile's product measure through the formation rule:
-    the probability of each realized partition. Sums to one."""
-    profile = (
-        equilibrium.profile
-        if isinstance(equilibrium, EquilibriumResult)
-        else equilibrium
-    )
-    sigmas = _sigmas(game, profile)
-    pure_cell = _pure_cell(sigmas)
-    if pure_cell is not None:
-        p = int(game.realized_index[pure_cell])
-        if p >= 0:
-            return {game.family[p]: 1.0}
+def _pushforward(
+    game: Game, sigmas: Sequence[np.ndarray], values: np.ndarray | None = None
+) -> np.ndarray:
+    """Per family partition, the probability of its domain under the product
+    measure of ``sigmas``, or the sum of probability times ``values`` (flat,
+    one per pure profile) over it. Raises when more than ``_NORM_TOL`` of the
+    mass falls on profiles the rule maps outside the family."""
     prob = _prob_tensor(sigmas).reshape(-1)
     realized = game.realized_index.reshape(-1)
     valid = realized >= 0
-    weights = np.bincount(
-        realized[valid], weights=prob[valid], minlength=len(game.family)
-    )
-    return {
-        game.family[p]: float(w) for p, w in enumerate(weights) if w > 1e-15
-    }
+    escaped = float(prob[~valid].sum())
+    if escaped > _NORM_TOL:
+        raise InternalInconsistencyError(
+            f"probability mass {escaped} falls on profiles the rule maps "
+            "outside the partition family; the per-partition decomposition "
+            "is undefined"
+        )
+    weights = prob if values is None else prob * values
+    return np.bincount(realized[valid], weights=weights[valid], minlength=len(game.family))
 
 
-def _pure_cell(sigmas: Sequence[np.ndarray]) -> tuple[int, ...] | None:
-    cell = []
-    for sigma in sigmas:
-        hot = np.nonzero(sigma > _NORM_TOL)[0]
-        if hot.size != 1:
-            return None
-        cell.append(int(hot[0]))
-    return tuple(cell)
+def equilibrium_partitions(
+    game: Game, equilibrium: "EquilibriumResult | MixedProfile"
+) -> dict[Partition, float]:
+    """The probability of each realized partition under a profile, in family
+    order (``_pushforward``). Sums to one, or raises
+    ``InternalInconsistencyError`` when the rule maps more than ``_NORM_TOL``
+    of the mass outside the family."""
+    if isinstance(equilibrium, EquilibriumResult):
+        equilibrium = equilibrium.profile
+    weights = _pushforward(game, _sigmas(game, equilibrium))
+    return {game.family[p]: float(w) for p, w in enumerate(weights) if w > 1e-15}
 
 
 def _distinct(profiles: Sequence[MixedProfile]) -> list[int]:
@@ -380,12 +372,22 @@ def enumerate_pure_equilibria(
     budget: int | None = None,
 ) -> list[EquilibriumResult]:
     """Exhaustively test every pure profile, in lexicographic profile order.
-    Each result carries its strict status from the same regret pass."""
+    Each result carries its strict status from the same regret pass, and the
+    one partition its profile realizes. Raises ``InternalInconsistencyError``
+    naming the first equilibrium cell the rule maps outside the family."""
     _check_solve_args(mode, tol)
     _check_budget(game.profile_count, budget, "enumerate_pure_equilibria")
     counts = game.strategy_counts
     regret, weak, strict = _pure_regret_arrays(game, tol)
     mask = weak if mode == "weak" else strict
+    cells = np.argwhere(mask)
+    realized = game.realized_index[mask]  # in the order of ``cells``
+    escaped = np.flatnonzero(realized < 0)
+    if escaped.size:
+        raise InternalInconsistencyError(
+            f"the rule maps equilibrium cell {tuple(cells[escaped[0]].tolist())} "
+            "outside the partition family"
+        )
     # One immutable point mass per (player, strategy), shared by the results.
     point_mass: dict[tuple[int, int], MixedStrategy] = {}
 
@@ -395,17 +397,14 @@ def enumerate_pure_equilibria(
         return point_mass[(i, k)]
 
     results = []
-    for cell in np.argwhere(mask):
-        cell = tuple(int(v) for v in cell)
+    for cell, p in zip(map(tuple, cells.tolist()), realized.tolist()):
         profile = MixedProfile(tuple(pure_strategy(i, k) for i, k in enumerate(cell)))
-        p = int(game.realized_index[cell])
-        dist = {game.family[p]: 1.0} if p >= 0 else {}
         results.append(
             EquilibriumResult(
                 profile=profile,
                 mode=mode,
                 payoffs=game.payoff_tensor[cell].copy(),
-                partition_distribution=dist,
+                partition_distribution={game.family[p]: 1.0},
                 max_regret=float(regret[cell]),
                 support=tuple((k,) for k in cell),
                 strict=bool(strict[cell]),

@@ -89,6 +89,38 @@ def test_expected_utility_detects_escaping_rule():
         cg.expected_utility(game, profile, 0)
 
 
+def test_expected_utility_bound_scales_with_the_payoffs():
+    # The direct and per-partition sums round apart by an amount that grows
+    # with the payoffs; at 1e8 an absolute 1e-10 bound fails most profiles.
+    rng = np.random.default_rng(0)
+    game = _action_game(rng.random((6, 6, 6, 3)) * 1e8)
+    for _ in range(50):
+        profile = _random_profile(game, rng)
+        for i in range(game.n):
+            direct, _ = cg.expected_utility_components(game, profile, i)
+            assert cg.expected_utility(game, profile, i) == direct
+
+
+def _escaping_game():
+    """Two players at K=1 whose one profile the rule maps outside P(1)."""
+    return cg.make_game(
+        ["x", "y"], K=1, rule=_EscapingRule(),
+        partition_payoffs={"0|1": [1, 1]}, action_labels=("go",),
+    )
+
+
+def test_pushforward_raises_on_mass_outside_the_family():
+    game = _escaping_game()
+    with pytest.raises(cg.InternalInconsistencyError, match="outside the partition family"):
+        cg.equilibrium_partitions(game, cg.MixedProfile.uniform(game))
+
+
+def test_pure_enumeration_raises_on_a_cell_outside_the_family():
+    game = _escaping_game()
+    with pytest.raises(cg.InternalInconsistencyError, match=r"cell \(0, 0\)"):
+        cg.enumerate_pure_equilibria(game)
+
+
 def test_shifting_one_players_payoffs_shifts_only_their_utility(pd2):
     rng = np.random.default_rng(3)
     shifted = replace(pd2, payoffs=pd2.payoffs.shifted(0, 7.5))
@@ -151,8 +183,9 @@ def test_is_equilibrium_rejects_bad_arguments(pd1):
 
 
 def test_mixed_strategy_normalizes_and_validates():
-    s = cg.MixedStrategy(np.array([2.0, 2.0]))
-    assert s.probabilities.tolist() == [0.5, 0.5]
+    for big in (2.0, 1e308):  # 2e308 overflows the sum
+        s = cg.MixedStrategy(np.array([big, big]))
+        assert s.probabilities.tolist() == [0.5, 0.5]
     with pytest.raises(cg.InvalidParameterError):
         cg.MixedStrategy(np.array([0.5, -0.5]))
 
@@ -1199,6 +1232,10 @@ def test_pushforward_of_pure_profiles(pd2):
         pd2, pure_profile(pd2, ("0|1", "H"), ("0|1", "H"))
     )
     assert cg.equilibrium_partitions(pd2, sep) == {cg.parse_partition("0|1", 2): 1.0}
+    for cell in itertools.product(*map(range, pd2.strategy_counts)):
+        realized = pd2.family[pd2.realized_index[cell]]
+        profile = cg.MixedProfile.pure(pd2, cell)
+        assert cg.equilibrium_partitions(pd2, profile) == {realized: 1.0}
 
 
 def test_pushforward_sums_to_one_on_random_profiles(dinner, pd2):
