@@ -111,6 +111,9 @@ def _read_spec(path: Path):
 
 
 def _emit(args: argparse.Namespace, report, out) -> None:
+    """Print ``report`` as JSON or text. Its ``to_dict`` may share one list
+    between several equilibrium entries (a player's profile row, support and
+    labels), which ``json.dumps`` writes out in each."""
     if args.format == "json":
         print(json.dumps(report.to_dict()), file=out)
     else:

@@ -10,7 +10,6 @@ equilibrium-partition supports between consecutive K.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
@@ -22,11 +21,11 @@ from .gamespec import GameSpec, build_game
 from .partitions import Partition, is_nested
 from .solver import (
     DEFAULT_TOL,
-    EquilibriumResult,
+    EquilibriumTable,
     _check_solve_args,
     _distinct,
-    enumerate_pure_equilibria,
-    support_enumeration,
+    _pure_table,
+    _support_table,
 )
 
 
@@ -254,12 +253,12 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class KReport:
-    """Solver output for one K: validated equilibria and the partitions they
-    realize; ``error`` carries a budget failure instead of aborting the rest
-    of the family."""
+    """Solver output for one K: the table of validated equilibria and the
+    partitions they realize; ``error`` carries a budget failure instead of
+    aborting the rest of the family."""
 
     K: int
-    equilibria: tuple[EquilibriumResult, ...]
+    equilibria: EquilibriumTable
     #: The partitions the equilibria realize, in family order.
     partitions: tuple[Partition, ...]
     error: str | None = None
@@ -286,55 +285,52 @@ class FamilyEquilibriumReport:
         raise InvalidParameterError(f"no report for K={K}")
 
 
-def _solve_game(
-    game: Game, options: SolveOptions
-) -> tuple[list[EquilibriumResult], list[str]]:
+def _solve_game(game: Game, options: SolveOptions) -> tuple[EquilibriumTable, list[str]]:
     """The one solve path: pure enumeration, then (budget permitting) the
-    mixed support search, merged and deduplicated; in strict mode only the
-    strict results are kept. A pure enumeration over budget raises."""
+    mixed support search, merged and deduplicated, as one table; in strict
+    mode only the strict rows are kept. A pure enumeration over budget
+    raises."""
     notes: list[str] = []
-    equilibria = enumerate_pure_equilibria(
-        game, options.mode, options.tol, budget=options.budget
-    )
+    table = _pure_table(game, options.mode, options.tol, options.budget)
     try:
-        mixed = support_enumeration(
-            game, options.max_support, options.tol, budget=options.budget
-        )
+        mixed = _support_table(game, options.max_support, options.tol, options.budget)
     except BudgetExceededError as exc:
-        mixed = []
+        mixed = ()
         notes.append(
             f"mixed search skipped: {exc.required} support combinations exceed "
             f"the budget of {exc.budget}"
         )
-    # Pure results are distinct cells; only a mixed candidate, clipped to an
+    # Pure rows are distinct cells; only a mixed candidate, clipped to an
     # exactly pure profile, can duplicate one.
     if mixed:
-        equilibria += mixed
-        equilibria = [equilibria[i] for i in _distinct([r.profile for r in equilibria])]
+        table = table.concat(mixed)
+        table = table.take(_distinct(np.hstack(table.profiles)))
     if options.mode == "strict":
-        equilibria = [replace(r, mode="strict") for r in equilibria if r.strict]
-    return equilibria, notes
+        table = replace(table.take(np.flatnonzero(table.strict)), mode="strict")
+    return table, notes
 
 
-def _partition_counts(
-    game: Game, equilibria: Sequence[EquilibriumResult]
-) -> dict[Partition, int]:
+def _partition_counts(game: Game, table: EquilibriumTable) -> dict[Partition, int]:
     """How many equilibria realize each partition with probability above
     1e-9, for the partitions some equilibrium realizes, in family order."""
-    counts = Counter(
-        p for r in equilibria for p, w in r.partition_distribution.items() if w > 1e-9
-    )
-    return {p: counts[p] for p in game.family if p in counts}
+    realized = table.dist_index[table.dist_weight > 1e-9]
+    counts = np.bincount(realized, minlength=len(game.family)).tolist()
+    return {p: c for p, c in zip(game.family, counts) if c}
 
 
 def _solve_one(game: Game, options: SolveOptions) -> KReport:
     try:
         equilibria, notes = _solve_game(game, options)
     except BudgetExceededError as exc:
-        return KReport(K=game.K, equilibria=(), partitions=(), error=str(exc))
+        return KReport(
+            K=game.K,
+            equilibria=EquilibriumTable.empty(game, options.mode),
+            partitions=(),
+            error=str(exc),
+        )
     return KReport(
         K=game.K,
-        equilibria=tuple(equilibria),
+        equilibria=equilibria,
         partitions=tuple(_partition_counts(game, equilibria)),
         notes=tuple(notes),
     )

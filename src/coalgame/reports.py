@@ -21,7 +21,7 @@ from .families import (
     check_nesting,
 )
 from .games import Game, MechanismAxiomReport, check_mechanism_axioms
-from .solver import EquilibriumResult, MixedProfile
+from .solver import _NORM_TOL, EquilibriumTable, MixedProfile
 from .partitions import Partition
 
 #: Most equilibria listed by ``SolveReport.render_text``; JSON lists them all.
@@ -51,23 +51,68 @@ def game_summary(game: Game) -> dict:
     }
 
 
-def equilibrium_to_dict(game: Game, result: EquilibriumResult) -> dict:
-    return {
-        "profile": [v.tolist() for v in result.profile.vectors()],
-        "support": [list(s) for s in result.support],
-        "strategy_labels": [
-            [str(game.strategy_sets[i][k]) for k in support]
-            for i, support in enumerate(result.support)
-        ],
-        "payoffs": [float(x) for x in result.payoffs],
-        "partition_distribution": {
-            p.key: float(w) for p, w in result.partition_distribution.items()
-        },
-        "max_regret": float(result.max_regret),
-        "mode": result.mode,
-        "strict": result.strict,
-        "degenerate": bool(result.degenerate),
-    }
+def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a float matrix, bit for bit, and the index of
+    each row among them, as ``np.unique(axis=0, return_inverse=True)`` on
+    the bits gives, but by one ``lexsort``: ``np.unique`` sorts the rows as
+    opaque records, many times slower."""
+    bits = rows.view(np.int64)
+    order = np.lexsort(bits.T)
+    ordered = bits[order]
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    inverse = np.empty(len(rows), dtype=np.intp)
+    inverse[order] = np.cumsum(first) - 1
+    return ordered[first].view(np.float64), inverse
+
+
+def _equilibria_dicts(game: Game, table: EquilibriumTable) -> list[dict]:
+    """The ``"equilibria"`` entries of a report dict, one per row of
+    ``table``, each column from one ``tolist()``. Per player, the entries
+    with the same strategy vector (bit for bit) share one ``profile`` row
+    and one ``support`` and ``strategy_labels`` list."""
+    if not len(table):
+        return []
+    # Per player and column, the shared list of each entry.
+    profiles, supports, labels = [], [], []
+    for strategies, rows in zip(game.strategy_sets, table.profiles):
+        unique, inverse = _unique_rows(rows)
+        support = [np.flatnonzero(row > _NORM_TOL).tolist() for row in unique]
+        label = [[str(strategies[k]) for k in s] for s in support]
+        vectors, inverse = unique.tolist(), inverse.tolist()
+        profiles.append([vectors[k] for k in inverse])
+        supports.append([support[k] for k in inverse])
+        labels.append([label[k] for k in inverse])
+    keys = [p.key for p in game.family]
+    distributions: list[dict] = [{} for _ in range(len(table))]
+    for row, p, w in zip(
+        table.dist_row.tolist(), table.dist_index.tolist(), table.dist_weight.tolist()
+    ):
+        distributions[row][keys[p]] = w
+    return [
+        {
+            "profile": list(profile),
+            "support": list(support),
+            "strategy_labels": list(label),
+            "payoffs": payoffs,
+            "partition_distribution": distribution,
+            "max_regret": max_regret,
+            "mode": table.mode,
+            "strict": strict,
+            "degenerate": degenerate,
+        }
+        for profile, support, label, payoffs, distribution, max_regret, strict, degenerate
+        in zip(
+            zip(*profiles),
+            zip(*supports),
+            zip(*labels),
+            table.payoffs.tolist(),
+            distributions,
+            table.max_regret.tolist(),
+            table.strict.tolist(),
+            table.degenerate.tolist(),
+        )
+    ]
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +121,7 @@ class SolveReport:
 
     game: Game
     options: SolveOptions
-    equilibria: tuple[EquilibriumResult, ...]
+    equilibria: EquilibriumTable
     notes: tuple[str, ...] = ()
 
     def to_dict(self) -> dict:
@@ -86,9 +131,7 @@ class SolveReport:
             "mode": self.options.mode,
             "tol": self.options.tol,
             "equilibrium_count": len(self.equilibria),
-            "equilibria": [
-                equilibrium_to_dict(self.game, r) for r in self.equilibria
-            ],
+            "equilibria": _equilibria_dicts(self.game, self.equilibria),
             "notes": list(self.notes),
         }
 
@@ -145,7 +188,7 @@ def build_solve_report(game: Game, options: SolveOptions | None = None) -> Solve
     """
     options = options or SolveOptions()
     equilibria, notes = _solve_game(game, options)
-    strict_count = sum(r.strict for r in equilibria)
+    strict_count = int(equilibria.strict.sum())
     weak_only = len(equilibria) - strict_count
     if strict_count and weak_only:
         notes.append(
@@ -157,10 +200,7 @@ def build_solve_report(game: Game, options: SolveOptions | None = None) -> Solve
             "the strict reading"
         )
     return SolveReport(
-        game=game,
-        options=options,
-        equilibria=tuple(equilibria),
-        notes=tuple(notes),
+        game=game, options=options, equilibria=equilibria, notes=tuple(notes)
     )
 
 
@@ -265,9 +305,7 @@ class FamilyReport:
                     "notes": list(entry.notes),
                     "equilibrium_count": len(entry.equilibria),
                     "equilibrium_partitions": [p.key for p in entry.partitions],
-                    "equilibria": [
-                        equilibrium_to_dict(game, r) for r in entry.equilibria
-                    ],
+                    "equilibria": _equilibria_dicts(game, entry.equilibria),
                 }
             )
         return {

@@ -17,7 +17,9 @@ gives its result. One SVD kernel, ``_lstsq_stack``, solves every two-player
 system and every exactly singular Newton step. The reported ``max_regret``
 is the largest improvement any pure deviation achieves (floored at zero).
 Realized-partition probabilities and utility per partition come from one
-pushforward through the formation rule, ``_pushforward``.
+pushforward through the formation rule, ``_pushforward``. Both searches
+gather their results in one columnar :class:`EquilibriumTable`; the public
+functions return its rows as :class:`EquilibriumResult` objects.
 
 All operations are pure functions of an immutable :class:`~coalgame.games.Game`.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Iterable, NamedTuple, Sequence
 
@@ -35,7 +37,7 @@ import numpy as np
 
 from .errors import InternalInconsistencyError, InvalidParameterError
 from .games import Game, StrategyProfile, _check_addressable, _check_budget
-from .partitions import Partition
+from .partitions import Partition, PartitionFamily
 
 DEFAULT_TOL = 1e-9
 #: The two expected-utility formulas (direct sum vs. per-partition sum) must
@@ -50,6 +52,34 @@ DEDUP_TOL = 1e-6
 #: so memory stays bounded whatever the budget.
 STACK_FLOATS = 1 << 18
 _NORM_TOL = 1e-12
+#: Newton runs per support combination of three or more players, one from
+#: each of ``_newton_starts``.
+_NEWTON_STARTS = 17
+
+
+def _normalized(probabilities) -> np.ndarray:
+    """``probabilities`` as a flat vector scaled to sum to one, after
+    clipping entries within ``_NORM_TOL`` below zero; raises
+    ``InvalidParameterError`` for an empty, non-finite, negative or massless
+    vector."""
+    probs = np.asarray(probabilities, dtype=np.float64).reshape(-1)
+    if probs.size == 0:
+        raise InvalidParameterError("mixed strategy over an empty strategy set")
+    if not np.isfinite(probs).all():
+        raise InvalidParameterError(f"non-finite probability in mixed strategy {probs}")
+    if probs.min() < -_NORM_TOL:
+        raise InvalidParameterError(
+            f"negative probability {probs.min()} in mixed strategy"
+        )
+    probs = np.clip(probs, 0.0, None)
+    with np.errstate(over="ignore"):
+        total = probs.sum()
+    if total == math.inf:  # finite entries whose sum overflows
+        probs = probs / probs.max()
+        total = probs.sum()
+    if total <= 0:
+        raise InvalidParameterError("mixed strategy has zero total mass")
+    return probs / total
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,26 +90,17 @@ class MixedStrategy:
     probabilities: np.ndarray
 
     def __post_init__(self):
-        probs = np.asarray(self.probabilities, dtype=np.float64).reshape(-1)
-        if probs.size == 0:
-            raise InvalidParameterError("mixed strategy over an empty strategy set")
-        if not np.isfinite(probs).all():
-            raise InvalidParameterError(f"non-finite probability in mixed strategy {probs}")
-        if probs.min() < -_NORM_TOL:
-            raise InvalidParameterError(
-                f"negative probability {probs.min()} in mixed strategy"
-            )
-        probs = np.clip(probs, 0.0, None)
-        with np.errstate(over="ignore"):
-            total = probs.sum()
-        if total == math.inf:  # finite entries whose sum overflows
-            probs = probs / probs.max()
-            total = probs.sum()
-        if total <= 0:
-            raise InvalidParameterError("mixed strategy has zero total mass")
-        probs = probs / total
+        probs = _normalized(self.probabilities)
         probs.flags.writeable = False
         object.__setattr__(self, "probabilities", probs)
+
+    @classmethod
+    def _of(cls, probabilities: np.ndarray) -> "MixedStrategy":
+        """Wrap a read-only vector ``_normalized`` returned as it is: a
+        second normalization may move its last bits."""
+        strategy = object.__new__(cls)
+        object.__setattr__(strategy, "probabilities", probabilities)
+        return strategy
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -143,6 +164,107 @@ class EquilibriumResult:
     support: tuple[tuple[int, ...], ...]
     strict: bool
     degenerate: bool = False
+
+
+@dataclass(frozen=True, eq=False)
+class EquilibriumTable(Sequence[EquilibriumResult]):
+    """The equilibria of one game as columns, one row per equilibrium, all
+    found in one ``mode``. ``table[e]`` builds row e's
+    :class:`EquilibriumResult`; a slice, ``take`` and ``concat`` give tables.
+
+    ``profiles[i]`` holds player i's strategy vectors, one row per
+    equilibrium, as :class:`MixedStrategy` holds them after normalization.
+    The realized-partition distributions are triplets: row ``dist_row``,
+    family index ``dist_index`` and probability ``dist_weight``, one per
+    partition of weight above 1e-15, by row and in family order within one.
+    Every array is read-only.
+    """
+
+    family: PartitionFamily
+    mode: str
+    profiles: tuple[np.ndarray, ...]
+    payoffs: np.ndarray
+    max_regret: np.ndarray
+    strict: np.ndarray
+    degenerate: np.ndarray
+    dist_row: np.ndarray
+    dist_index: np.ndarray
+    dist_weight: np.ndarray
+
+    def __post_init__(self):
+        for column in (*self.profiles, *(getattr(self, name) for name in _COLUMNS)):
+            column.flags.writeable = False
+
+    @staticmethod
+    def empty(game: Game, mode: str) -> "EquilibriumTable":
+        return EquilibriumTable(
+            game.family, mode, tuple(np.zeros((0, m)) for m in game.strategy_counts),
+            np.zeros((0, game.n)), np.zeros(0), np.zeros(0, dtype=bool),
+            np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp),
+            np.zeros(0, dtype=np.intp), np.zeros(0),
+        )
+
+    def __len__(self) -> int:
+        return len(self.max_regret)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return self.take(np.arange(len(self))[key])
+        row = range(len(self))[key]
+        lo, hi = np.searchsorted(self.dist_row, (row, row + 1)).tolist()
+        strategies = tuple(MixedStrategy._of(p[row]) for p in self.profiles)
+        return EquilibriumResult(
+            profile=MixedProfile(strategies),
+            mode=self.mode,
+            payoffs=self.payoffs[row].copy(),
+            partition_distribution={
+                self.family[p]: w
+                for p, w in zip(
+                    self.dist_index[lo:hi].tolist(), self.dist_weight[lo:hi].tolist()
+                )
+            },
+            max_regret=float(self.max_regret[row]),
+            support=tuple(s.support for s in strategies),
+            strict=bool(self.strict[row]),
+            degenerate=bool(self.degenerate[row]),
+        )
+
+    def take(self, rows) -> "EquilibriumTable":
+        """The table of ``rows`` (indices, in the order given)."""
+        rows = np.asarray(rows, dtype=np.intp).reshape(-1)
+        starts = np.searchsorted(self.dist_row, rows, "left")
+        lengths = np.searchsorted(self.dist_row, rows, "right") - starts
+        picks = np.arange(lengths.sum()) + np.repeat(
+            starts - (np.cumsum(lengths) - lengths), lengths
+        )
+        return replace(
+            self,
+            profiles=tuple(p[rows] for p in self.profiles),
+            **{name: getattr(self, name)[rows] for name in _COLUMNS[:4]},
+            dist_row=np.repeat(np.arange(rows.size), lengths),
+            dist_index=self.dist_index[picks],
+            dist_weight=self.dist_weight[picks],
+        )
+
+    def concat(self, other: "EquilibriumTable") -> "EquilibriumTable":
+        """This table's rows, then ``other``'s, in this table's mode."""
+        columns = {
+            name: np.concatenate([getattr(self, name), getattr(other, name)])
+            for name in _COLUMNS
+        }
+        columns["dist_row"][len(self.dist_row) :] += len(self)
+        return replace(
+            self,
+            profiles=tuple(map(np.vstack, zip(self.profiles, other.profiles))),
+            **columns,
+        )
+
+
+#: The array fields of ``EquilibriumTable`` besides ``profiles``: one entry
+#: per row, then one per distribution triplet.
+_COLUMNS = (
+    "payoffs", "max_regret", "strict", "degenerate", "dist_row", "dist_index", "dist_weight"
+)
 
 
 class EquilibriumCheck(NamedTuple):
@@ -316,23 +438,25 @@ def equilibrium_partitions(
     return {game.family[p]: float(w) for p, w in enumerate(weights) if w > 1e-15}
 
 
-def _distinct(profiles: Sequence[MixedProfile]) -> list[int]:
-    """Indices of the profiles that differ by more than ``DEDUP_TOL`` in some
-    coordinate from every earlier kept one; the first of a cluster wins.
+def _distinct(keys: np.ndarray) -> list[int]:
+    """Indices of the rows of ``keys`` (profiles, each player's strategy
+    vector concatenated) that differ by more than ``DEDUP_TOL`` in some
+    coordinate from every earlier kept row; the first of a cluster wins.
 
-    Two profiles that close have projections onto any fixed weight vector
-    within ``DEDUP_TOL * sum(weights)`` of each other, so a new profile is
+    Two rows that close have projections onto any fixed positive weight
+    vector within ``DEDUP_TOL * sum(weights)`` of each other, so a new row is
     compared in full only with the kept ones in that window of the sorted
-    projections.
+    projections. The kept set does not depend on the weights. Unequal ones
+    (fractional parts of multiples of the golden ratio, plus one) spread the
+    projections; equal ones would map every profile to its player count.
     """
-    if not profiles:
+    if not len(keys):
         return []
-    keys = np.array([np.concatenate(p.vectors()) for p in profiles])
-    weights = np.random.default_rng(0).random(keys.shape[1])
+    weights = 1.0 + np.arange(1, keys.shape[1] + 1) * 0.6180339887498949 % 1.0
     proj = (keys @ weights).tolist()
     reach = 2 * DEDUP_TOL * float(weights.sum())
     kept: list[int] = []
-    window: list[float] = []  # projections of the kept profiles, sorted
+    window: list[float] = []  # projections of the kept rows, sorted
     window_ids: list[int] = []
     for index, x in enumerate(proj):
         lo = bisect.bisect_left(window, x - reach)
@@ -364,6 +488,43 @@ def _pure_regret_arrays(game: Game, tol: float) -> tuple[np.ndarray, np.ndarray,
     return regret, weak, strict
 
 
+def _pure_table(
+    game: Game, mode: str, tol: float, budget: int | None
+) -> EquilibriumTable:
+    """The pure equilibria of ``enumerate_pure_equilibria`` as a table, from
+    one regret pass, one ``argwhere`` and one ``realized_index[mask]``."""
+    _check_solve_args(mode, tol)
+    _check_budget(game.profile_count, budget, "enumerate_pure_equilibria")
+    regret, weak, strict = _pure_regret_arrays(game, tol)
+    mask = weak if mode == "weak" else strict
+    cells = np.argwhere(mask)
+    realized = game.realized_index[mask]  # in the order of ``cells``
+    escaped = np.flatnonzero(realized < 0)
+    if escaped.size:
+        raise InternalInconsistencyError(
+            f"the rule maps equilibrium cell {tuple(cells[escaped[0]].tolist())} "
+            "outside the partition family"
+        )
+    rows = np.arange(len(cells))
+    profiles = []
+    for m, column in zip(game.strategy_counts, cells.T):
+        point_masses = np.zeros((len(cells), m))
+        point_masses[rows, column] = 1.0
+        profiles.append(point_masses)
+    return EquilibriumTable(
+        family=game.family,
+        mode=mode,
+        profiles=tuple(profiles),
+        payoffs=game.payoff_tensor[mask],
+        max_regret=regret[mask],
+        strict=strict[mask],
+        degenerate=np.zeros(len(cells), dtype=bool),
+        dist_row=rows,
+        dist_index=realized,
+        dist_weight=np.ones(len(cells)),
+    )
+
+
 def enumerate_pure_equilibria(
     game: Game,
     mode: str = "weak",
@@ -375,42 +536,7 @@ def enumerate_pure_equilibria(
     Each result carries its strict status from the same regret pass, and the
     one partition its profile realizes. Raises ``InternalInconsistencyError``
     naming the first equilibrium cell the rule maps outside the family."""
-    _check_solve_args(mode, tol)
-    _check_budget(game.profile_count, budget, "enumerate_pure_equilibria")
-    counts = game.strategy_counts
-    regret, weak, strict = _pure_regret_arrays(game, tol)
-    mask = weak if mode == "weak" else strict
-    cells = np.argwhere(mask)
-    realized = game.realized_index[mask]  # in the order of ``cells``
-    escaped = np.flatnonzero(realized < 0)
-    if escaped.size:
-        raise InternalInconsistencyError(
-            f"the rule maps equilibrium cell {tuple(cells[escaped[0]].tolist())} "
-            "outside the partition family"
-        )
-    # One immutable point mass per (player, strategy), shared by the results.
-    point_mass: dict[tuple[int, int], MixedStrategy] = {}
-
-    def pure_strategy(i: int, k: int) -> MixedStrategy:
-        if (i, k) not in point_mass:
-            point_mass[(i, k)] = MixedStrategy(_embed(counts[i], (k,), 1.0))
-        return point_mass[(i, k)]
-
-    results = []
-    for cell, p in zip(map(tuple, cells.tolist()), realized.tolist()):
-        profile = MixedProfile(tuple(pure_strategy(i, k) for i, k in enumerate(cell)))
-        results.append(
-            EquilibriumResult(
-                profile=profile,
-                mode=mode,
-                payoffs=game.payoff_tensor[cell].copy(),
-                partition_distribution={game.family[p]: 1.0},
-                max_regret=float(regret[cell]),
-                support=tuple((k,) for k in cell),
-                strict=bool(strict[cell]),
-            )
-        )
-    return results
+    return list(_pure_table(game, mode, tol, budget))
 
 
 def _support_iter(m: int, max_size: int):
@@ -670,11 +796,14 @@ def _linear_roots(sub: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ..
 
 
 def _newton_starts(sizes: Sequence[int]) -> np.ndarray:
-    """The uniform point, then 16 interior points from a fixed seed."""
+    """``_NEWTON_STARTS`` points: the uniform point, then interior points
+    from a fixed seed."""
     rng = np.random.default_rng(0)
     return np.vstack([
         np.concatenate([np.full(s, 1.0 / s) for s in sizes]),
-        np.concatenate([rng.dirichlet(np.ones(s), 16) for s in sizes], axis=1),
+        np.concatenate(
+            [rng.dirichlet(np.ones(s), _NEWTON_STARTS - 1) for s in sizes], axis=1
+        ),
     ])
 
 
@@ -740,7 +869,7 @@ def _mixed_candidates(
         if game.n == 2:
             solve, points = _linear_roots, 1
         else:
-            solve, points = _newton_roots, len(_newton_starts(sizes))
+            solve, points = _newton_roots, _NEWTON_STARTS
         floats = points * (sum(sizes) ** 2 + game.n * math.prod(sizes))
         step = max(1, STACK_FLOATS // floats)
         for start in range(0, alive.size, step):
@@ -757,6 +886,58 @@ def _mixed_candidates(
                 combo = tuple(g[r[c]] for g, r in zip(signature, rows))
                 found[combo] = [([v[k] for v in vectors], bool(degenerate[k])) for k in group]
     return found
+
+
+def _support_table(
+    game: Game, max_support: int | None, tol: float, budget: int | None
+) -> EquilibriumTable:
+    """The equilibria of ``support_enumeration`` as a table: the accepted
+    candidates of ``_mixed_candidates`` in combination order, deduplicated,
+    with their distributions from ``_pushforward``."""
+    _check_solve_args("weak", tol, max_support)
+    counts = game.strategy_counts
+    caps = [m if max_support is None else min(m, max_support) for m in counts]
+    total = 1
+    for m, cap in zip(counts, caps):
+        total *= _support_count(m, cap)
+    _check_budget(total, budget, "support_enumeration")
+
+    supports = [list(_support_iter(m, cap)) for m, cap in zip(counts, caps)]
+    found = _mixed_candidates(game, supports, tol)
+    position = [{support: k for k, support in enumerate(s)} for s in supports]
+    kept = []  # per accepted candidate: sigmas, payoffs, regret, strict, degenerate
+    # Combinations in ``itertools.product(*supports)`` order.
+    for combo in sorted(found, key=lambda c: [p[t] for p, t in zip(position, c)]):
+        for vectors, degenerate in found[combo]:
+            sigmas = [_normalized(v) for v in vectors]
+            eu, max_regret, strict = _regret_and_strict(
+                sigmas, _deviation_payoffs(game.payoff_tensor, sigmas), tol
+            )
+            if max_regret <= tol:
+                kept.append((sigmas, eu, max_regret, strict, degenerate))
+    if not kept:
+        return EquilibriumTable.empty(game, "weak")
+    kept = [kept[i] for i in _distinct(np.array([np.concatenate(k[0]) for k in kept]))]
+    sigmas, payoffs, max_regret, strict, degenerate = zip(*kept)
+    dist_row, dist_index, dist_weight = [], [], []
+    for row, profile in enumerate(sigmas):
+        weights = _pushforward(game, profile)
+        index = np.flatnonzero(weights > 1e-15)
+        dist_row += [row] * index.size
+        dist_index += index.tolist()
+        dist_weight += weights[index].tolist()
+    return EquilibriumTable(
+        family=game.family,
+        mode="weak",
+        profiles=tuple(map(np.array, zip(*sigmas))),
+        payoffs=np.array(payoffs),
+        max_regret=np.array(max_regret),
+        strict=np.array(strict),
+        degenerate=np.array(degenerate),
+        dist_row=np.array(dist_row, dtype=np.intp),
+        dist_index=np.array(dist_index, dtype=np.intp),
+        dist_weight=np.array(dist_weight, dtype=np.float64),
+    )
 
 
 def support_enumeration(
@@ -788,35 +969,4 @@ def support_enumeration(
     fixed starts (LU steps, and least-squares steps where a Jacobian is
     exactly singular), so equilibria that these starts miss are not found.
     """
-    _check_solve_args("weak", tol, max_support)
-    counts = game.strategy_counts
-    caps = [m if max_support is None else min(m, max_support) for m in counts]
-    total = 1
-    for m, cap in zip(counts, caps):
-        total *= _support_count(m, cap)
-    _check_budget(total, budget, "support_enumeration")
-
-    supports = [list(_support_iter(m, cap)) for m, cap in zip(counts, caps)]
-    found = _mixed_candidates(game, supports, tol)
-    position = [{support: k for k, support in enumerate(s)} for s in supports]
-    kept = []  # per accepted candidate: profile, degenerate, payoffs, regret, strict
-    # Combinations in ``itertools.product(*supports)`` order.
-    for combo in sorted(found, key=lambda c: [p[t] for p, t in zip(position, c)]):
-        for vectors, degenerate in found[combo]:
-            profile = MixedProfile.from_vectors(vectors)
-            sigmas = profile.vectors()
-            eu, max_regret, strict = _regret_and_strict(
-                sigmas, _deviation_payoffs(game.payoff_tensor, sigmas), tol
-            )
-            if max_regret <= tol:
-                kept.append((profile, degenerate, eu, max_regret, strict))
-    results = []
-    for i in _distinct([k[0] for k in kept]):
-        profile, degenerate, eu, max_regret, strict = kept[i]
-        results.append(EquilibriumResult(
-            profile=profile, mode="weak", payoffs=eu,
-            partition_distribution=equilibrium_partitions(game, profile),
-            max_regret=max_regret, support=tuple(s.support for s in profile.strategies),
-            strict=strict, degenerate=degenerate,
-        ))
-    return results
+    return list(_support_table(game, max_support, tol, budget))

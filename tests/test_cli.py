@@ -31,13 +31,18 @@ import io, json, sys
 from coalgame.cli import run_cli
 out = io.StringIO()
 code = run_cli(sys.argv[1:], out=out, err=io.StringIO())
-print(json.dumps({"code": code, "scipy": "scipy" in sys.modules, "out": out.getvalue()}))
+print(json.dumps({
+    "code": code,
+    "scipy": "scipy" in sys.modules,
+    "numpy_random": "numpy.random" in sys.modules,
+    "out": out.getvalue(),
+}))
 """
 
 
 def _probe(*argv):
     """Run one command in a fresh interpreter; its exit code, whether it
-    loaded scipy, and its output."""
+    loaded scipy and numpy.random, and its output."""
     proc = subprocess.run(
         [sys.executable, "-c", _PROBE, *argv],
         capture_output=True, text=True, env=_subprocess_env(), timeout=120,
@@ -374,6 +379,34 @@ def test_no_command_loads_scipy(spec_dir, argv):
     assert probe["code"] == 0
     assert json.loads(probe["out"])
     assert probe["scipy"] is False
+
+
+def test_a_two_player_mixed_solve_does_not_load_numpy_random(spec_dir):
+    probe = _probe("solve", str(spec_dir / "matching_pennies.spec"), "--format", "json")
+    assert probe["code"] == 0
+    # One mixed equilibrium, merged with the (empty) pure list by ``_distinct``.
+    assert json.loads(probe["out"])["equilibrium_count"] == 1
+    assert probe["numpy_random"] is False
+
+
+def test_json_family_report_builds_no_result_objects(spec_dir, monkeypatch):
+    built = []
+    init = cg.EquilibriumResult.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cg.EquilibriumResult, "__init__", counted)
+    code, out, _ = _run(
+        "family", str(spec_dir / "dinner.spec"), "--k-min", "1", "--k-max", "2",
+        "--format", "json",
+    )
+    assert code == 0
+    assert [entry["equilibrium_count"] for entry in json.loads(out)["per_k"]] == [1, 2736]
+    assert built == []
+    # The spy sees the results the public functions build.
+    assert len(cg.enumerate_pure_equilibria(cg.pd_game(2))) == len(built) > 0
 
 
 def test_three_player_mixed_solve_finds_the_same_results_in_a_fresh_process(spec_dir):

@@ -1,0 +1,192 @@
+"""The columnar solve path against a per-result reference.
+
+The reference solves a game one result object per equilibrium: a loop over
+the pure equilibrium cells, then the mixed candidates validated, deduplicated
+and packaged one by one, then the strict filter. Its report entries come from
+``_reference_dict``, one dict per result. The tables of ``_solve_game``, the
+results they build on demand and the report dicts must match it exactly.
+"""
+
+import json
+import math
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import coalgame as cg
+from coalgame import solver
+from coalgame.families import SolveOptions, _solve_game
+from coalgame.solver import _distinct
+
+from test_games import _small_games
+
+
+def _keys(profiles):
+    return np.array([np.concatenate(p.vectors()) for p in profiles])
+
+
+def _reference_pure(game, mode, tol):
+    regret, weak, strict = solver._pure_regret_arrays(game, tol)
+    mask = weak if mode == "weak" else strict
+    # One point mass per (player, strategy), shared by the results.
+    point_masses = [
+        [cg.MixedStrategy(np.eye(m)[k]) for k in range(m)] for m in game.strategy_counts
+    ]
+    return [
+        cg.EquilibriumResult(
+            profile=cg.MixedProfile(tuple(point_masses[i][k] for i, k in enumerate(cell))),
+            mode=mode,
+            payoffs=game.payoff_tensor[cell].copy(),
+            partition_distribution={game.family[int(game.realized_index[cell])]: 1.0},
+            max_regret=float(regret[cell]),
+            support=tuple((k,) for k in cell),
+            strict=bool(strict[cell]),
+        )
+        for cell in map(tuple, np.argwhere(mask).tolist())
+    ]
+
+
+def _reference_mixed(game, max_support, tol):
+    caps = [m if max_support is None else min(m, max_support) for m in game.strategy_counts]
+    supports = [list(solver._support_iter(m, cap)) for m, cap in zip(game.strategy_counts, caps)]
+    found = solver._mixed_candidates(game, supports, tol)
+    position = [{support: k for k, support in enumerate(s)} for s in supports]
+    accepted = []
+    for combo in sorted(found, key=lambda c: [p[t] for p, t in zip(position, c)]):
+        for vectors, degenerate in found[combo]:
+            profile = cg.MixedProfile.from_vectors(vectors)
+            if cg.is_equilibrium(game, profile, "weak", tol).ok:
+                accepted.append((profile, degenerate))
+    results = []
+    for i in _distinct(_keys(profile for profile, _ in accepted)):
+        profile, degenerate = accepted[i]
+        sigmas = profile.vectors()
+        eu, max_regret, strict = solver._regret_and_strict(
+            sigmas, solver._deviation_payoffs(game.payoff_tensor, sigmas), tol
+        )
+        results.append(cg.EquilibriumResult(
+            profile=profile,
+            mode="weak",
+            payoffs=eu,
+            partition_distribution=cg.equilibrium_partitions(game, profile),
+            max_regret=max_regret,
+            support=tuple(s.support for s in profile.strategies),
+            strict=strict,
+            degenerate=degenerate,
+        ))
+    return results
+
+
+def _reference_solve(game, options):
+    results = _reference_pure(game, options.mode, options.tol)
+    combinations = math.prod(
+        solver._support_count(m, m if options.max_support is None else min(m, options.max_support))
+        for m in game.strategy_counts
+    )
+    limit = cg.DEFAULT_BUDGET if options.budget is None else options.budget
+    if combinations <= limit:
+        mixed = _reference_mixed(game, options.max_support, options.tol)
+        if mixed:
+            results += mixed
+            results = [results[i] for i in _distinct(_keys(r.profile for r in results))]
+    if options.mode == "strict":
+        results = [replace(r, mode="strict") for r in results if r.strict]
+    return results
+
+
+def _reference_dict(game, result):
+    return {
+        "profile": [v.tolist() for v in result.profile.vectors()],
+        "support": [list(s) for s in result.support],
+        "strategy_labels": [
+            [str(game.strategy_sets[i][k]) for k in support]
+            for i, support in enumerate(result.support)
+        ],
+        "payoffs": [float(x) for x in result.payoffs],
+        "partition_distribution": {
+            p.key: float(w) for p, w in result.partition_distribution.items()
+        },
+        "max_regret": float(result.max_regret),
+        "mode": result.mode,
+        "strict": result.strict,
+        "degenerate": bool(result.degenerate),
+    }
+
+
+def _assert_matches(game, table, entries, expected):
+    """``table`` builds ``expected`` field by field, bit for bit, and
+    ``entries`` (its report dicts) are their reference dicts."""
+    assert isinstance(table, cg.EquilibriumTable)
+    got = list(table)
+    assert len(got) == len(table) == len(expected)
+    for r, e in zip(got, expected):
+        assert [v.tobytes() for v in r.profile.vectors()] == [
+            v.tobytes() for v in e.profile.vectors()
+        ]
+        assert r.payoffs.tobytes() == e.payoffs.tobytes()
+        assert list(r.partition_distribution.items()) == list(e.partition_distribution.items())
+        assert (r.mode, r.max_regret, r.support, r.strict, r.degenerate) == (
+            e.mode, e.max_regret, e.support, e.strict, e.degenerate
+        )
+        assert type(r.max_regret) is float and type(r.strict) is bool
+    reference = [_reference_dict(game, e) for e in expected]
+    assert json.dumps(entries) == json.dumps(reference)
+    assert json.loads(json.dumps(entries[:100])) == entries[:100]
+
+
+def _columns(table):
+    return [
+        a.tobytes()
+        for a in (*table.profiles, table.payoffs, table.max_regret, table.strict,
+                  table.degenerate, table.dist_row, table.dist_index, table.dist_weight)
+    ] + [table.mode]
+
+
+@pytest.mark.parametrize("name", cg.BUNDLED_SPECS)
+def test_reports_match_the_per_result_reference_on_every_bundled_spec(name):
+    spec = cg.bundled_spec(name)
+    family = cg.build_family(spec, (1, spec.n))
+    for mode in ("weak", "strict"):
+        options = SolveOptions(mode=mode)
+        result = cg.equilibria_across_k(family, options)
+        per_k = cg.FamilyReport(family=family, result=result).to_dict()["per_k"]
+        assert [entry["K"] for entry in per_k] == list(range(1, spec.n + 1))
+        for (_, game), k_report, entry in zip(family, result.per_k, per_k):
+            assert entry["error"] is None
+            report = cg.build_solve_report(game, options)
+            entries = report.to_dict()["equilibria"]
+            _assert_matches(game, report.equilibria, entries, _reference_solve(game, options))
+            # The family solves the same game into the same table and entries.
+            assert _columns(k_report.equilibria) == _columns(report.equilibria)
+            assert entry["equilibria"] == entries
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_small_games(), st.sampled_from(["weak", "strict"]), st.sampled_from([None, 1, 2]))
+def test_reports_match_the_per_result_reference_on_small_games(game, mode, max_support):
+    # The budget keeps the mixed search small; over it, both paths skip it.
+    options = SolveOptions(mode=mode, max_support=max_support, budget=1000)
+    table, _ = _solve_game(game, options)
+    report = cg.build_solve_report(game, options)
+    expected = _reference_solve(game, options)
+    _assert_matches(game, table, report.to_dict()["equilibria"], expected)
+
+
+def test_table_indexing_and_slices(pd2):
+    table, _ = _solve_game(pd2, SolveOptions())
+    results = list(table)
+    assert len(table) > 2
+    assert table[-1].support == results[-1].support
+    with pytest.raises(IndexError):
+        table[len(table)]
+    for window in (slice(1, None), slice(None, None, -1), slice(0, 0)):
+        part = table[window]
+        assert isinstance(part, cg.EquilibriumTable)
+        assert [r.support for r in part] == [r.support for r in results[window]]
+        assert [r.partition_distribution for r in part] == [
+            r.partition_distribution for r in results[window]
+        ]
+    assert not table.payoffs.flags.writeable
+    assert not table[0].profile.strategies[0].probabilities.flags.writeable

@@ -402,7 +402,31 @@ def test_distinct_matches_a_linear_scan():
         if all(np.abs(key - keys[j]).max() > DEDUP_TOL for j in expected):
             expected.append(i)
     assert 20 < len(expected) < 300
-    assert _distinct(profiles) == expected
+    assert _distinct(np.array(keys)) == expected
+
+
+_shifts = st.sampled_from([0.0, 0.5e-6, 0.99e-6, 1.01e-6, 3e-6, -0.5e-6, -1.01e-6])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_distinct_keeps_the_first_of_each_cluster(data):
+    """Clusters of rows around a few probability vectors: ``_distinct``
+    keeps what a scan of all earlier kept rows keeps."""
+    width = data.draw(st.integers(1, 6))
+    point = st.lists(st.floats(0, 1), min_size=width, max_size=width)
+    bases = data.draw(st.lists(point, min_size=1, max_size=6))
+    rows = [
+        np.array(data.draw(st.sampled_from(bases)))
+        + data.draw(st.lists(_shifts, min_size=width, max_size=width))
+        for _ in range(data.draw(st.integers(1, 40)))
+    ]
+    keys = np.array(rows)
+    expected = []
+    for i, key in enumerate(keys):
+        if all(np.abs(key - keys[j]).max() > DEDUP_TOL for j in expected):
+            expected.append(i)
+    assert _distinct(keys) == expected
 
 
 # --- two-player stacked solves ----------------------------------------------
@@ -453,6 +477,12 @@ def _ix_systems(game, t0, t1):
     return m_y, m_x
 
 
+def _keys(profiles):
+    """The key matrix ``_distinct`` takes: one row per profile, its players'
+    strategy vectors concatenated."""
+    return np.array([np.concatenate(p.vectors()) for p in profiles])
+
+
 def _per_pair_support_enumeration(
     game, max_support=None, tol=cg.DEFAULT_TOL, pure=False
 ):
@@ -488,7 +518,7 @@ def _per_pair_support_enumeration(
         if cg.is_equilibrium(game, profile, "weak", tol).ok:
             accepted.append((profile, degenerate))
     results = []
-    for i in _distinct([profile for profile, _ in accepted]):
+    for i in _distinct(_keys([profile for profile, _ in accepted])):
         profile, degenerate = accepted[i]
         sigmas = profile.vectors()
         eu, max_regret, strict = solver._regret_and_strict(
@@ -552,7 +582,7 @@ def _solve_with_pure_candidates(game, options):
     results += _per_pair_support_enumeration(
         game, options.max_support, options.tol, pure=True
     )
-    results = [results[i] for i in _distinct([r.profile for r in results])]
+    results = [results[i] for i in _distinct(_keys([r.profile for r in results]))]
     if options.mode == "strict":
         results = [replace(r, mode="strict") for r in results if r.strict]
     return results
@@ -639,9 +669,9 @@ def test_dedup_runs_only_when_the_mixed_search_found_results(
 ):
     merged = []
 
-    def recorded(profiles):
-        merged.append(len(profiles))
-        return solver._distinct(profiles)
+    def recorded(keys):
+        merged.append(len(keys))
+        return solver._distinct(keys)
 
     monkeypatch.setattr(families, "_distinct", recorded)
     for game, options in (
