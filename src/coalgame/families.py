@@ -16,9 +16,9 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import BudgetExceededError, InvalidParameterError
-from .games import Game
+from .games import CheckOutcome, Game
 from .gamespec import GameSpec, build_game
-from .partitions import Partition, is_nested
+from .partitions import Partition
 from .solver import (
     DEFAULT_TOL,
     EquilibriumTable,
@@ -95,21 +95,15 @@ def build_family(
 
 
 @dataclass(frozen=True)
-class NestingCheck:
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class PairNestingReport:
     """Consistency of one consecutive pair Γ(K) vs Γ(K+1)."""
 
     k_small: int
     k_large: int
-    partition_nesting: NestingCheck
-    strategy_nesting: NestingCheck
-    payoff_consistency: NestingCheck
-    rule_consistency: NestingCheck
+    partition_nesting: CheckOutcome
+    strategy_nesting: CheckOutcome
+    payoff_consistency: CheckOutcome
+    rule_consistency: CheckOutcome
 
     @property
     def ok(self) -> bool:
@@ -121,7 +115,7 @@ class PairNestingReport:
         )
 
     @property
-    def checks(self) -> dict[str, NestingCheck]:
+    def checks(self) -> dict[str, CheckOutcome]:
         return {
             "partition_nesting": self.partition_nesting,
             "strategy_nesting": self.strategy_nesting,
@@ -168,21 +162,19 @@ def check_nesting(family: GameFamily) -> NestingReport:
         small, large = family[k_small], family[k_large]
 
         missing = [p for p in small.family if p not in large.family]
-        part_check = NestingCheck(
+        part_check = CheckOutcome(
             ok=not missing,
             detail="" if not missing else f"partition {missing[0]} missing",
         )
-        if is_nested(small.family, large.family) != part_check.ok:
-            part_check = NestingCheck(ok=False, detail="nesting check disagreement")
 
         embedding, err = _strategy_embedding(small, large)
-        strat_check = NestingCheck(ok=not err, detail=err)
+        strat_check = CheckOutcome(ok=not err, detail=err)
 
         if embedding:
             ix = np.ix_(*embedding)
             sub_payoff = large.payoff_tensor[ix]
             if np.array_equal(sub_payoff, small.payoff_tensor):
-                pay_check = NestingCheck(ok=True)
+                pay_check = CheckOutcome(ok=True)
             else:
                 diff = np.argwhere(
                     np.any(sub_payoff != small.payoff_tensor, axis=-1)
@@ -190,7 +182,7 @@ def check_nesting(family: GameFamily) -> NestingReport:
                 cell = tuple(int(v) for v in diff)
                 p = int(small.realized_index[cell])
                 key = small.family[p].key if p >= 0 else "<outside family>"
-                pay_check = NestingCheck(
+                pay_check = CheckOutcome(
                     ok=False,
                     detail=(
                         f"payoff mismatch at profile {cell} "
@@ -213,17 +205,17 @@ def check_nesting(family: GameFamily) -> NestingReport:
                 sub_realized >= 0, to_small[np.clip(sub_realized, 0, None)], -3
             )
             if np.array_equal(mapped, small.realized_index):
-                rule_check = NestingCheck(ok=True)
+                rule_check = CheckOutcome(ok=True)
             else:
                 diff = np.argwhere(mapped != small.realized_index)[0]
                 cell = tuple(int(v) for v in diff)
-                rule_check = NestingCheck(
+                rule_check = CheckOutcome(
                     ok=False,
                     detail=f"rule output differs at embedded profile {cell}",
                 )
         else:
-            pay_check = NestingCheck(ok=False, detail="no embedding")
-            rule_check = NestingCheck(ok=False, detail="no embedding")
+            pay_check = CheckOutcome(ok=False, detail="no embedding")
+            rule_check = CheckOutcome(ok=False, detail="no embedding")
 
         pairs.append(
             PairNestingReport(
@@ -253,16 +245,19 @@ class SolveOptions:
 
 @dataclass(frozen=True, eq=False)
 class KReport:
-    """Solver output for one K: the table of validated equilibria and the
-    partitions they realize; ``error`` carries a budget failure instead of
-    aborting the rest of the family."""
+    """Solver output for one K: the table of validated equilibria;
+    ``error`` carries a budget failure instead of aborting the rest of the
+    family."""
 
     K: int
     equilibria: EquilibriumTable
-    #: The partitions the equilibria realize, in family order.
-    partitions: tuple[Partition, ...]
     error: str | None = None
     notes: tuple[str, ...] = ()
+
+    @property
+    def partitions(self) -> tuple[Partition, ...]:
+        """The partitions the equilibria realize, in family order."""
+        return tuple(self.equilibria.partition_counts())
 
 
 @dataclass(frozen=True)
@@ -310,14 +305,6 @@ def _solve_game(game: Game, options: SolveOptions) -> tuple[EquilibriumTable, li
     return table, notes
 
 
-def _partition_counts(game: Game, table: EquilibriumTable) -> dict[Partition, int]:
-    """How many equilibria realize each partition with probability above
-    1e-9, for the partitions some equilibrium realizes, in family order."""
-    realized = table.dist_index[table.dist_weight > 1e-9]
-    counts = np.bincount(realized, minlength=len(game.family)).tolist()
-    return {p: c for p, c in zip(game.family, counts) if c}
-
-
 def _solve_one(game: Game, options: SolveOptions) -> KReport:
     try:
         equilibria, notes = _solve_game(game, options)
@@ -325,15 +312,9 @@ def _solve_one(game: Game, options: SolveOptions) -> KReport:
         return KReport(
             K=game.K,
             equilibria=EquilibriumTable.empty(game, options.mode),
-            partitions=(),
             error=str(exc),
         )
-    return KReport(
-        K=game.K,
-        equilibria=equilibria,
-        partitions=tuple(_partition_counts(game, equilibria)),
-        notes=tuple(notes),
-    )
+    return KReport(K=game.K, equilibria=equilibria, notes=tuple(notes))
 
 
 def equilibria_across_k(

@@ -31,6 +31,7 @@ from .partitions import (
     PartitionFamily,
     count_partitions,
     enumerate_partitions,
+    parse_partition,
 )
 
 
@@ -451,9 +452,10 @@ def _check_addressable(shape: tuple[int, ...], dtype, what: str) -> None:
 
 
 @dataclass(frozen=True)
-class AxiomCheck:
-    """Outcome of one mechanism axiom: ok flag plus a counterexample profile
-    (as strategy indices) when it failed."""
+class CheckOutcome:
+    """Outcome of one check (a mechanism axiom, or one nesting check of a
+    family): ok flag, a counterexample profile (as strategy indices) when an
+    axiom failed, and a description of the failure."""
 
     ok: bool
     counterexample: tuple[int, ...] | None = None
@@ -464,9 +466,9 @@ class AxiomCheck:
 class MechanismAxiomReport:
     """Exhaustive verification that the rule partitions the profile space."""
 
-    maps_into_family: AxiomCheck
-    domains_disjoint: AxiomCheck
-    domains_cover: AxiomCheck
+    maps_into_family: CheckOutcome
+    domains_disjoint: CheckOutcome
+    domains_cover: CheckOutcome
     #: Profiles per nonempty induced domain, in family order.
     domain_sizes: dict[Partition, int] = field(default_factory=dict)
 
@@ -497,23 +499,23 @@ def check_mechanism_axioms(
         counter = tuple(
             int(v) for v in np.unravel_index(int(bad[0]), game.strategy_counts)
         )
-        maps_into = AxiomCheck(
+        maps_into = CheckOutcome(
             ok=False,
             counterexample=counter,
             detail="rule output is outside the partition family",
         )
     else:
-        maps_into = AxiomCheck(ok=True)
+        maps_into = CheckOutcome(ok=True)
 
     # Each profile stores exactly one partition index, so the induced domains
     # are disjoint by construction; a profile outside the family is uncovered.
-    disjoint = AxiomCheck(ok=True)
+    disjoint = CheckOutcome(ok=True)
     sizes = np.bincount(flat[flat >= 0], minlength=len(game.family))
     total = int(sizes.sum())
     if total == game.profile_count:
-        cover = AxiomCheck(ok=True)
+        cover = CheckOutcome(ok=True)
     else:
-        cover = AxiomCheck(
+        cover = CheckOutcome(
             ok=False,
             counterexample=maps_into.counterexample,
             detail=f"domains cover {total} of {game.profile_count} profiles",
@@ -558,8 +560,6 @@ def make_game(
     partition strings and action labels. This is the programmatic counterpart
     of the spec-file format.
     """
-    from .partitions import parse_partition  # local to avoid cycle at import time
-
     players = tuple(players)
     n = len(players)
     family = enumerate_partitions(n, K)

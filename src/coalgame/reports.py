@@ -16,12 +16,11 @@ from .families import (
     GameFamily,
     NestingReport,
     SolveOptions,
-    _partition_counts,
     _solve_game,
     check_nesting,
 )
 from .games import Game, MechanismAxiomReport, check_mechanism_axioms
-from .solver import _NORM_TOL, EquilibriumTable, MixedProfile
+from .solver import _LISTED_MASS, _NORM_TOL, EquilibriumTable, MixedProfile
 from .partitions import Partition
 
 #: Most equilibria listed by ``SolveReport.render_text``; JSON lists them all.
@@ -85,8 +84,9 @@ def _equilibria_dicts(game: Game, table: EquilibriumTable) -> list[dict]:
         labels.append([label[k] for k in inverse])
     keys = [p.key for p in game.family]
     distributions: list[dict] = [{} for _ in range(len(table))]
+    rows, listed = np.nonzero(table.distributions > _LISTED_MASS)
     for row, p, w in zip(
-        table.dist_row.tolist(), table.dist_index.tolist(), table.dist_weight.tolist()
+        rows.tolist(), listed.tolist(), table.distributions[rows, listed].tolist()
     ):
         distributions[row][keys[p]] = w
     return [
@@ -144,7 +144,7 @@ class SolveReport:
             f"mode={self.options.mode} tol={self.options.tol:g}",
             f"{len(self.equilibria)} validated equilibria",
         ]
-        by_partition = _partition_counts(game, self.equilibria)
+        by_partition = self.equilibria.partition_counts()
         if by_partition:
             lines.append("equilibrium partitions (count of equilibria touching):")
             for p, cnt in by_partition.items():

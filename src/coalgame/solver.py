@@ -18,8 +18,10 @@ system and every exactly singular Newton step. The reported ``max_regret``
 is the largest improvement any pure deviation achieves (floored at zero).
 Realized-partition probabilities and utility per partition come from one
 pushforward through the formation rule, ``_pushforward``. Both searches
-gather their results in one columnar :class:`EquilibriumTable`; the public
-functions return its rows as :class:`EquilibriumResult` objects.
+gather their results in one columnar :class:`EquilibriumTable`, whose
+fields are all indexed by row, the realized-partition distributions too;
+the public functions return its rows as :class:`EquilibriumResult`
+objects.
 
 All operations are pure functions of an immutable :class:`~coalgame.games.Game`.
 """
@@ -52,6 +54,9 @@ DEDUP_TOL = 1e-6
 #: so memory stays bounded whatever the budget.
 STACK_FLOATS = 1 << 18
 _NORM_TOL = 1e-12
+#: A realized partition is listed in an equilibrium's distribution when its
+#: probability exceeds this.
+_LISTED_MASS = 1e-15
 #: Newton runs per support combination of three or more players, one from
 #: each of ``_newton_starts``.
 _NEWTON_STARTS = 17
@@ -174,10 +179,8 @@ class EquilibriumTable(Sequence[EquilibriumResult]):
 
     ``profiles[i]`` holds player i's strategy vectors, one row per
     equilibrium, as :class:`MixedStrategy` holds them after normalization.
-    The realized-partition distributions are triplets: row ``dist_row``,
-    family index ``dist_index`` and probability ``dist_weight``, one per
-    partition of weight above 1e-15, by row and in family order within one.
-    Every array is read-only.
+    ``distributions[e, p]`` is the probability that row e realizes
+    ``family[p]``. Every array is read-only and indexed by row.
     """
 
     family: PartitionFamily
@@ -187,9 +190,7 @@ class EquilibriumTable(Sequence[EquilibriumResult]):
     max_regret: np.ndarray
     strict: np.ndarray
     degenerate: np.ndarray
-    dist_row: np.ndarray
-    dist_index: np.ndarray
-    dist_weight: np.ndarray
+    distributions: np.ndarray
 
     def __post_init__(self):
         for column in (*self.profiles, *(getattr(self, name) for name in _COLUMNS)):
@@ -200,8 +201,7 @@ class EquilibriumTable(Sequence[EquilibriumResult]):
         return EquilibriumTable(
             game.family, mode, tuple(np.zeros((0, m)) for m in game.strategy_counts),
             np.zeros((0, game.n)), np.zeros(0), np.zeros(0, dtype=bool),
-            np.zeros(0, dtype=bool), np.zeros(0, dtype=np.intp),
-            np.zeros(0, dtype=np.intp), np.zeros(0),
+            np.zeros(0, dtype=bool), np.zeros((0, len(game.family))),
         )
 
     def __len__(self) -> int:
@@ -211,18 +211,14 @@ class EquilibriumTable(Sequence[EquilibriumResult]):
         if isinstance(key, slice):
             return self.take(np.arange(len(self))[key])
         row = range(len(self))[key]
-        lo, hi = np.searchsorted(self.dist_row, (row, row + 1)).tolist()
+        weights = self.distributions[row]
+        listed = np.flatnonzero(weights > _LISTED_MASS).tolist()
         strategies = tuple(MixedStrategy._of(p[row]) for p in self.profiles)
         return EquilibriumResult(
             profile=MixedProfile(strategies),
             mode=self.mode,
             payoffs=self.payoffs[row].copy(),
-            partition_distribution={
-                self.family[p]: w
-                for p, w in zip(
-                    self.dist_index[lo:hi].tolist(), self.dist_weight[lo:hi].tolist()
-                )
-            },
+            partition_distribution={self.family[p]: float(weights[p]) for p in listed},
             max_regret=float(self.max_regret[row]),
             support=tuple(s.support for s in strategies),
             strict=bool(self.strict[row]),
@@ -232,39 +228,32 @@ class EquilibriumTable(Sequence[EquilibriumResult]):
     def take(self, rows) -> "EquilibriumTable":
         """The table of ``rows`` (indices, in the order given)."""
         rows = np.asarray(rows, dtype=np.intp).reshape(-1)
-        starts = np.searchsorted(self.dist_row, rows, "left")
-        lengths = np.searchsorted(self.dist_row, rows, "right") - starts
-        picks = np.arange(lengths.sum()) + np.repeat(
-            starts - (np.cumsum(lengths) - lengths), lengths
-        )
         return replace(
             self,
             profiles=tuple(p[rows] for p in self.profiles),
-            **{name: getattr(self, name)[rows] for name in _COLUMNS[:4]},
-            dist_row=np.repeat(np.arange(rows.size), lengths),
-            dist_index=self.dist_index[picks],
-            dist_weight=self.dist_weight[picks],
+            **{name: getattr(self, name)[rows] for name in _COLUMNS},
         )
 
     def concat(self, other: "EquilibriumTable") -> "EquilibriumTable":
         """This table's rows, then ``other``'s, in this table's mode."""
-        columns = {
-            name: np.concatenate([getattr(self, name), getattr(other, name)])
-            for name in _COLUMNS
-        }
-        columns["dist_row"][len(self.dist_row) :] += len(self)
         return replace(
             self,
             profiles=tuple(map(np.vstack, zip(self.profiles, other.profiles))),
-            **columns,
+            **{
+                name: np.concatenate([getattr(self, name), getattr(other, name)])
+                for name in _COLUMNS
+            },
         )
 
+    def partition_counts(self) -> dict[Partition, int]:
+        """How many rows realize each partition with probability above 1e-9,
+        for the partitions some row realizes, in family order."""
+        counts = (self.distributions > 1e-9).sum(axis=0).tolist()
+        return {p: c for p, c in zip(self.family, counts) if c}
 
-#: The array fields of ``EquilibriumTable`` besides ``profiles``: one entry
-#: per row, then one per distribution triplet.
-_COLUMNS = (
-    "payoffs", "max_regret", "strict", "degenerate", "dist_row", "dist_index", "dist_weight"
-)
+
+#: The array fields of ``EquilibriumTable`` besides ``profiles``.
+_COLUMNS = ("payoffs", "max_regret", "strict", "degenerate", "distributions")
 
 
 class EquilibriumCheck(NamedTuple):
@@ -435,7 +424,7 @@ def equilibrium_partitions(
     if isinstance(equilibrium, EquilibriumResult):
         equilibrium = equilibrium.profile
     weights = _pushforward(game, _sigmas(game, equilibrium))
-    return {game.family[p]: float(w) for p, w in enumerate(weights) if w > 1e-15}
+    return {game.family[p]: float(w) for p, w in enumerate(weights) if w > _LISTED_MASS}
 
 
 def _distinct(keys: np.ndarray) -> list[int]:
@@ -519,9 +508,7 @@ def _pure_table(
         max_regret=regret[mask],
         strict=strict[mask],
         degenerate=np.zeros(len(cells), dtype=bool),
-        dist_row=rows,
-        dist_index=realized,
-        dist_weight=np.ones(len(cells)),
+        distributions=np.eye(len(game.family))[realized],
     )
 
 
@@ -919,13 +906,6 @@ def _support_table(
         return EquilibriumTable.empty(game, "weak")
     kept = [kept[i] for i in _distinct(np.array([np.concatenate(k[0]) for k in kept]))]
     sigmas, payoffs, max_regret, strict, degenerate = zip(*kept)
-    dist_row, dist_index, dist_weight = [], [], []
-    for row, profile in enumerate(sigmas):
-        weights = _pushforward(game, profile)
-        index = np.flatnonzero(weights > 1e-15)
-        dist_row += [row] * index.size
-        dist_index += index.tolist()
-        dist_weight += weights[index].tolist()
     return EquilibriumTable(
         family=game.family,
         mode="weak",
@@ -934,9 +914,7 @@ def _support_table(
         max_regret=np.array(max_regret),
         strict=np.array(strict),
         degenerate=np.array(degenerate),
-        dist_row=np.array(dist_row, dtype=np.intp),
-        dist_index=np.array(dist_index, dtype=np.intp),
-        dist_weight=np.array(dist_weight, dtype=np.float64),
+        distributions=np.array([_pushforward(game, profile) for profile in sigmas]),
     )
 
 

@@ -140,7 +140,7 @@ def _columns(table):
     return [
         a.tobytes()
         for a in (*table.profiles, table.payoffs, table.max_regret, table.strict,
-                  table.degenerate, table.dist_row, table.dist_index, table.dist_weight)
+                  table.degenerate, table.distributions)
     ] + [table.mode]
 
 
@@ -157,10 +157,20 @@ def test_reports_match_the_per_result_reference_on_every_bundled_spec(name):
             assert entry["error"] is None
             report = cg.build_solve_report(game, options)
             entries = report.to_dict()["equilibria"]
-            _assert_matches(game, report.equilibria, entries, _reference_solve(game, options))
+            expected = _reference_solve(game, options)
+            _assert_matches(game, report.equilibria, entries, expected)
             # The family solves the same game into the same table and entries.
             assert _columns(k_report.equilibria) == _columns(report.equilibria)
             assert entry["equilibria"] == entries
+            # Its partitions are those some reference result realizes above
+            # 1e-9, counted per result, in family order.
+            counts = {
+                p: sum(e.partition_distribution.get(p, 0.0) > 1e-9 for e in expected)
+                for p in game.family
+            }
+            counts = {p: c for p, c in counts.items() if c}
+            assert k_report.equilibria.partition_counts() == counts
+            assert k_report.partitions == tuple(counts)
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -174,10 +184,26 @@ def test_reports_match_the_per_result_reference_on_small_games(game, mode, max_s
     _assert_matches(game, table, report.to_dict()["equilibria"], expected)
 
 
+def _assert_distributions_aligned(game, table):
+    """Each row's distribution is its own profile's pushforward, bit for bit
+    (a point mass pushes forward to an exact one-hot)."""
+    assert table.distributions.shape == (len(table), len(table.family))
+    for e in range(len(table)):
+        sigmas = [p[e] for p in table.profiles]
+        pushed = solver._pushforward(game, sigmas)
+        assert table.distributions[e].tobytes() == pushed.tobytes()
+
+
 def test_table_indexing_and_slices(pd2):
     table, _ = _solve_game(pd2, SolveOptions())
     results = list(table)
     assert len(table) > 2
+    mixed = [max(map(len, r.support)) > 1 for r in results]
+    assert any(mixed) and not all(mixed)
+    assert np.abs(table.distributions.sum(axis=1) - 1.0).max() <= 1e-12
+    _assert_distributions_aligned(pd2, table)
+    for part in (table.take([5, 0, 5, 8]), table[4:].concat(table[:4]), table[::-2]):
+        _assert_distributions_aligned(pd2, part)
     assert table[-1].support == results[-1].support
     with pytest.raises(IndexError):
         table[len(table)]
@@ -189,4 +215,5 @@ def test_table_indexing_and_slices(pd2):
             r.partition_distribution for r in results[window]
         ]
     assert not table.payoffs.flags.writeable
+    assert not table.distributions.flags.writeable
     assert not table[0].profile.strategies[0].probabilities.flags.writeable
