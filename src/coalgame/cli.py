@@ -23,14 +23,16 @@ from .errors import (
     InternalInconsistencyError,
     InvalidParameterError,
 )
-from .families import DEFAULT_TOL, SolveOptions, build_family, equilibria_across_k
+from .families import build_family
 from .gamespec import build_game, parse_spec
 from .partitions import count_partitions, enumerate_partitions
 from .reports import (
-    FamilyReport,
+    SolveOptions,
     build_solve_report,
     build_validate_report,
+    equilibria_across_k,
 )
+from .solver import DEFAULT_TOL
 
 EXIT_OK = 0
 EXIT_FAILED_CHECKS = 1
@@ -152,9 +154,7 @@ def _cmd_family(args: argparse.Namespace, out) -> int:
         hi = args.k_max if args.k_max is not None else spec.k_max
         k_range = (lo, hi)
     family = build_family(spec, k_range, epsilon_bonus=args.epsilon)
-    report = FamilyReport(
-        family=family, result=equilibria_across_k(family, _options_from(args))
-    )
+    report = equilibria_across_k(family, _options_from(args))
     _emit(args, report, out)
     return EXIT_OK
 

@@ -4,29 +4,19 @@ A family is stored as one spec plus per-K restrictions, which makes nesting
 true by construction; :func:`check_nesting` re-verifies it exhaustively
 (partition families, strategy sets, payoff restriction, and rule agreement on
 the embedded profile space) so it doubles as a regression test for the
-derivation. :func:`equilibria_across_k` solves each game and diffs the
-equilibrium-partition supports between consecutive K.
+derivation. Solving the family is the job of :mod:`coalgame.reports`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import BudgetExceededError, InvalidParameterError
+from .errors import InvalidParameterError
 from .games import CheckOutcome, Game
 from .gamespec import GameSpec, build_game
-from .partitions import Partition
-from .solver import (
-    DEFAULT_TOL,
-    EquilibriumTable,
-    _check_solve_args,
-    _distinct,
-    _pure_table,
-    _support_table,
-)
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,32 +86,17 @@ def build_family(
 
 @dataclass(frozen=True)
 class PairNestingReport:
-    """Consistency of one consecutive pair Γ(K) vs Γ(K+1)."""
+    """Consistency of one consecutive pair Γ(K) vs Γ(K+1): the checks
+    ``partition_nesting``, ``strategy_nesting``, ``payoff_consistency`` and
+    ``rule_consistency``, in that order."""
 
     k_small: int
     k_large: int
-    partition_nesting: CheckOutcome
-    strategy_nesting: CheckOutcome
-    payoff_consistency: CheckOutcome
-    rule_consistency: CheckOutcome
+    checks: dict[str, CheckOutcome]
 
     @property
     def ok(self) -> bool:
-        return (
-            self.partition_nesting.ok
-            and self.strategy_nesting.ok
-            and self.payoff_consistency.ok
-            and self.rule_consistency.ok
-        )
-
-    @property
-    def checks(self) -> dict[str, CheckOutcome]:
-        return {
-            "partition_nesting": self.partition_nesting,
-            "strategy_nesting": self.strategy_nesting,
-            "payoff_consistency": self.payoff_consistency,
-            "rule_consistency": self.rule_consistency,
-        }
+        return all(check.ok for check in self.checks.values())
 
 
 @dataclass(frozen=True)
@@ -194,11 +169,7 @@ def check_nesting(family: GameFamily) -> NestingReport:
 
             # Compare realized partitions through the family index maps.
             to_small = np.array(
-                [
-                    small.family._index.get(partition, -2)
-                    for partition in large.family
-                ],
-                dtype=np.int32,
+                [small.family._index.get(q, -2) for q in large.family], dtype=np.int32
             )
             sub_realized = large.realized_index[ix]
             mapped = np.where(
@@ -214,128 +185,18 @@ def check_nesting(family: GameFamily) -> NestingReport:
                     detail=f"rule output differs at embedded profile {cell}",
                 )
         else:
-            pay_check = CheckOutcome(ok=False, detail="no embedding")
-            rule_check = CheckOutcome(ok=False, detail="no embedding")
+            pay_check = rule_check = CheckOutcome(ok=False, detail="no embedding")
 
         pairs.append(
             PairNestingReport(
                 k_small=k_small,
                 k_large=k_large,
-                partition_nesting=part_check,
-                strategy_nesting=strat_check,
-                payoff_consistency=pay_check,
-                rule_consistency=rule_check,
+                checks={
+                    "partition_nesting": part_check,
+                    "strategy_nesting": strat_check,
+                    "payoff_consistency": pay_check,
+                    "rule_consistency": rule_check,
+                },
             )
         )
     return NestingReport(pairs=tuple(pairs))
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Knobs shared by the solvers and the CLI, checked on construction."""
-
-    mode: str = "weak"
-    tol: float = DEFAULT_TOL
-    max_support: int | None = None
-    budget: int | None = None
-
-    def __post_init__(self):
-        _check_solve_args(self.mode, self.tol, self.max_support)
-
-
-@dataclass(frozen=True, eq=False)
-class KReport:
-    """Solver output for one K: the table of validated equilibria;
-    ``error`` carries a budget failure instead of aborting the rest of the
-    family."""
-
-    K: int
-    equilibria: EquilibriumTable
-    error: str | None = None
-    notes: tuple[str, ...] = ()
-
-    @property
-    def partitions(self) -> tuple[Partition, ...]:
-        """The partitions the equilibria realize, in family order."""
-        return tuple(self.equilibria.partition_counts())
-
-
-@dataclass(frozen=True)
-class KDiff:
-    k_from: int
-    k_to: int
-    partitions_gained: tuple[Partition, ...]
-    partitions_lost: tuple[Partition, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class FamilyEquilibriumReport:
-    per_k: tuple[KReport, ...]
-    diffs: tuple[KDiff, ...]
-
-    def report_for(self, K: int) -> KReport:
-        for entry in self.per_k:
-            if entry.K == K:
-                return entry
-        raise InvalidParameterError(f"no report for K={K}")
-
-
-def _solve_game(game: Game, options: SolveOptions) -> tuple[EquilibriumTable, list[str]]:
-    """The one solve path: pure enumeration, then (budget permitting) the
-    mixed support search, merged and deduplicated, as one table; in strict
-    mode only the strict rows are kept. A pure enumeration over budget
-    raises."""
-    notes: list[str] = []
-    table = _pure_table(game, options.mode, options.tol, options.budget)
-    try:
-        mixed = _support_table(game, options.max_support, options.tol, options.budget)
-    except BudgetExceededError as exc:
-        mixed = ()
-        notes.append(
-            f"mixed search skipped: {exc.required} support combinations exceed "
-            f"the budget of {exc.budget}"
-        )
-    # Pure rows are distinct cells; only a mixed candidate, clipped to an
-    # exactly pure profile, can duplicate one.
-    if mixed:
-        table = table.concat(mixed)
-        table = table.take(_distinct(np.hstack(table.profiles)))
-    if options.mode == "strict":
-        table = replace(table.take(np.flatnonzero(table.strict)), mode="strict")
-    return table, notes
-
-
-def _solve_one(game: Game, options: SolveOptions) -> KReport:
-    try:
-        equilibria, notes = _solve_game(game, options)
-    except BudgetExceededError as exc:
-        return KReport(
-            K=game.K,
-            equilibria=EquilibriumTable.empty(game, options.mode),
-            error=str(exc),
-        )
-    return KReport(K=game.K, equilibria=equilibria, notes=tuple(notes))
-
-
-def equilibria_across_k(
-    family: GameFamily, options: SolveOptions | None = None
-) -> FamilyEquilibriumReport:
-    """Solve every game in the family and diff the equilibrium-partition
-    supports between consecutive K. Budget failures are recorded per K and do
-    not abort the other games."""
-    options = options or SolveOptions()
-    per_k = tuple(_solve_one(game, options) for _, game in family)
-    diffs = []
-    for a, b in zip(per_k, per_k[1:]):
-        if a.error or b.error:
-            continue
-        set_a, set_b = set(a.partitions), set(b.partitions)
-        diffs.append(
-            KDiff(
-                k_from=a.K,
-                k_to=b.K,
-                partitions_gained=tuple(p for p in b.partitions if p not in set_a),
-                partitions_lost=tuple(p for p in a.partitions if p not in set_b),
-            )
-        )
-    return FamilyEquilibriumReport(per_k=per_k, diffs=tuple(diffs))

@@ -492,38 +492,29 @@ def check_mechanism_axioms(
     """
     _check_budget(game.profile_count, budget, "check_mechanism_axioms")
     realized = game.realized_index
-    flat = realized.reshape(-1)
-
-    bad = np.nonzero(flat < 0)[0]
-    if bad.size:
-        counter = tuple(
-            int(v) for v in np.unravel_index(int(bad[0]), game.strategy_counts)
-        )
+    outside = realized < 0
+    sizes = np.bincount(realized[~outside], minlength=len(game.family))
+    # Each profile stores exactly one partition index, so the induced domains
+    # are disjoint by construction, and only a profile mapped outside the
+    # family is left uncovered.
+    if outside.any():
+        counter = tuple(np.argwhere(outside)[0].tolist())
         maps_into = CheckOutcome(
             ok=False,
             counterexample=counter,
             detail="rule output is outside the partition family",
         )
-    else:
-        maps_into = CheckOutcome(ok=True)
-
-    # Each profile stores exactly one partition index, so the induced domains
-    # are disjoint by construction; a profile outside the family is uncovered.
-    disjoint = CheckOutcome(ok=True)
-    sizes = np.bincount(flat[flat >= 0], minlength=len(game.family))
-    total = int(sizes.sum())
-    if total == game.profile_count:
-        cover = CheckOutcome(ok=True)
-    else:
         cover = CheckOutcome(
             ok=False,
-            counterexample=maps_into.counterexample,
-            detail=f"domains cover {total} of {game.profile_count} profiles",
+            counterexample=counter,
+            detail=f"domains cover {int(sizes.sum())} of {game.profile_count} profiles",
         )
+    else:
+        maps_into = cover = CheckOutcome(ok=True)
 
     return MechanismAxiomReport(
         maps_into_family=maps_into,
-        domains_disjoint=disjoint,
+        domains_disjoint=CheckOutcome(ok=True),
         domains_cover=cover,
         domain_sizes={
             game.family[p]: int(sizes[p]) for p in range(len(game.family)) if sizes[p]

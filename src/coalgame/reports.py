@@ -1,30 +1,77 @@
-"""Human-readable and machine-readable reports for the CLI and for scripts.
+"""The solve path and one report per command.
 
-The machine-readable form is plain JSON-compatible dicts; ``json.dumps``
-followed by ``json.loads`` reproduces them exactly, and every reported
-profile can be fed back through ``is_equilibrium``.
+:func:`build_solve_report` (``solve``), :func:`build_validate_report`
+(``validate``) and :func:`equilibria_across_k` (``family``) each run the
+solvers or checks of one command and return its report. Every game is solved
+by :func:`_solve_game`. A report renders as text (``render_text``) or as a
+plain JSON-compatible dict (``to_dict``); ``json.dumps`` followed by
+``json.loads`` reproduces the dict exactly, and every reported profile can be
+fed back through ``is_equilibrium``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
-from .families import (
-    FamilyEquilibriumReport,
-    GameFamily,
-    NestingReport,
-    SolveOptions,
-    _solve_game,
-    check_nesting,
-)
+from .errors import BudgetExceededError, InvalidParameterError
+from .families import GameFamily, NestingReport, check_nesting
 from .games import Game, MechanismAxiomReport, check_mechanism_axioms
-from .solver import _LISTED_MASS, _NORM_TOL, EquilibriumTable, MixedProfile
 from .partitions import Partition
+from .solver import (
+    _LISTED_MASS,
+    _NORM_TOL,
+    DEFAULT_TOL,
+    EquilibriumTable,
+    MixedProfile,
+    _check_solve_args,
+    _distinct,
+    _pure_table,
+    _support_table,
+)
 
 #: Most equilibria listed by ``SolveReport.render_text``; JSON lists them all.
 TEXT_ROWS = 24
+
+
+@dataclass(frozen=True)
+class SolveOptions:
+    """Knobs shared by the solvers and the CLI, checked on construction."""
+
+    mode: str = "weak"
+    tol: float = DEFAULT_TOL
+    max_support: int | None = None
+    budget: int | None = None
+
+    def __post_init__(self):
+        _check_solve_args(self.mode, self.tol, self.max_support)
+
+
+def _solve_game(game: Game, options: SolveOptions) -> tuple[EquilibriumTable, list[str]]:
+    """The one solve path: pure enumeration, then (budget permitting) the
+    mixed support search, merged and deduplicated, as one table; in strict
+    mode only the strict rows are kept. A pure enumeration over budget
+    raises."""
+    notes: list[str] = []
+    table = _pure_table(game, options.mode, options.tol, options.budget)
+    try:
+        mixed = _support_table(game, options.max_support, options.tol, options.budget)
+    except BudgetExceededError as exc:
+        mixed = ()
+        notes.append(
+            f"mixed search skipped: {exc.required} support combinations exceed "
+            f"the budget of {exc.budget}"
+        )
+    # Pure rows are distinct cells; only a mixed candidate, clipped to an
+    # exactly pure profile, can duplicate one.
+    if mixed:
+        table = table.concat(mixed)
+        table = table.take(_distinct(np.hstack(table.profiles)))
+    if options.mode == "strict":
+        table = replace(table.take(np.flatnonzero(table.strict)), mode="strict")
+    return table, notes
 
 
 def pretty_partition(partition: Partition, players: tuple[str, ...]) -> str:
@@ -281,37 +328,67 @@ class ValidateReport:
 def build_validate_report(
     family: GameFamily, *, budget: int | None = None
 ) -> ValidateReport:
-    axioms = {
-        k: check_mechanism_axioms(game, budget=budget) for k, game in family
-    }
+    axioms = {k: check_mechanism_axioms(game, budget=budget) for k, game in family}
     return ValidateReport(family=family, axioms=axioms, nesting=check_nesting(family))
 
 
 @dataclass(frozen=True, eq=False)
+class KReport:
+    """Solver output for one K: the table of validated equilibria;
+    ``error`` carries a budget failure instead of aborting the rest of the
+    family."""
+
+    K: int
+    equilibria: EquilibriumTable
+    error: str | None = None
+    notes: tuple[str, ...] = ()
+
+    @cached_property
+    def partitions(self) -> tuple[Partition, ...]:
+        """The partitions the equilibria realize, in family order."""
+        return tuple(self.equilibria.partition_counts())
+
+
+@dataclass(frozen=True)
+class KDiff:
+    k_from: int
+    k_to: int
+    partitions_gained: tuple[Partition, ...]
+    partitions_lost: tuple[Partition, ...]
+
+
+@dataclass(frozen=True, eq=False)
 class FamilyReport:
-    """Cross-K equilibrium report with partition-support diffs."""
+    """Equilibria of every game in a family, per K, with the diffs of their
+    realized partitions between consecutive K."""
 
     family: GameFamily
-    result: FamilyEquilibriumReport
+    per_k: tuple[KReport, ...]
+    diffs: tuple[KDiff, ...]
+
+    def report_for(self, K: int) -> KReport:
+        for entry in self.per_k:
+            if entry.K == K:
+                return entry
+        raise InvalidParameterError(f"no report for K={K}")
 
     def to_dict(self) -> dict:
-        per_k = []
-        for entry in self.result.per_k:
-            game = self.family[entry.K]
-            per_k.append(
+        return {
+            "kind": "family",
+            "game": self.family.base.name,
+            "per_k": [
                 {
                     "K": entry.K,
                     "error": entry.error,
                     "notes": list(entry.notes),
                     "equilibrium_count": len(entry.equilibria),
                     "equilibrium_partitions": [p.key for p in entry.partitions],
-                    "equilibria": _equilibria_dicts(game, entry.equilibria),
+                    "equilibria": _equilibria_dicts(
+                        self.family[entry.K], entry.equilibria
+                    ),
                 }
-            )
-        return {
-            "kind": "family",
-            "game": self.family.base.name,
-            "per_k": per_k,
+                for entry in self.per_k
+            ],
             "diffs": [
                 {
                     "from_K": d.k_from,
@@ -319,14 +396,14 @@ class FamilyReport:
                     "partitions_gained": [p.key for p in d.partitions_gained],
                     "partitions_lost": [p.key for p in d.partitions_lost],
                 }
-                for d in self.result.diffs
+                for d in self.diffs
             ],
         }
 
     def render_text(self) -> str:
         lines = [f"family report: {self.family.base.name or '<unnamed>'}"]
         players = self.family[self.family.k_values[0]].players
-        for entry in self.result.per_k:
+        for entry in self.per_k:
             if entry.error:
                 lines.append(f"K={entry.K}: ERROR {entry.error}")
                 continue
@@ -339,7 +416,7 @@ class FamilyReport:
             )
             for note in entry.notes:
                 lines.append(f"  note: {note}")
-        for d in self.result.diffs:
+        for d in self.diffs:
             gained = ", ".join(p.key for p in d.partitions_gained) or "-"
             lost = ", ".join(p.key for p in d.partitions_lost) or "-"
             lines.append(
@@ -347,3 +424,39 @@ class FamilyReport:
                 f"lost [{lost}]"
             )
         return "\n".join(lines)
+
+
+def _solve_one(game: Game, options: SolveOptions) -> KReport:
+    try:
+        equilibria, notes = _solve_game(game, options)
+    except BudgetExceededError as exc:
+        return KReport(
+            K=game.K,
+            equilibria=EquilibriumTable.empty(game, options.mode),
+            error=str(exc),
+        )
+    return KReport(K=game.K, equilibria=equilibria, notes=tuple(notes))
+
+
+def equilibria_across_k(
+    family: GameFamily, options: SolveOptions | None = None
+) -> FamilyReport:
+    """Solve every game in the family and diff the equilibrium-partition
+    supports between consecutive K. Budget failures are recorded per K and do
+    not abort the other games."""
+    options = options or SolveOptions()
+    per_k = tuple(_solve_one(game, options) for _, game in family)
+    diffs = []
+    for a, b in zip(per_k, per_k[1:]):
+        if a.error or b.error:
+            continue
+        set_a, set_b = set(a.partitions), set(b.partitions)
+        diffs.append(
+            KDiff(
+                k_from=a.K,
+                k_to=b.K,
+                partitions_gained=tuple(p for p in b.partitions if p not in set_a),
+                partitions_lost=tuple(p for p in a.partitions if p not in set_b),
+            )
+        )
+    return FamilyReport(family=family, per_k=per_k, diffs=tuple(diffs))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -440,3 +441,54 @@ def test_json_output_is_one_compact_line(spec_dir, monkeypatch, command):
         assert len(dumped) == 1
         # The same keys and values as the indented dump of the same report.
         assert json.loads(out) == json.loads(dumps(dumped[0], indent=2))
+
+
+#: The key sequence of each JSON object the commands write. The output is
+#: compared byte for byte across changes, so the order is part of it.
+_JSON_KEYS = {
+    "solve": ["kind", "game", "mode", "tol", "equilibrium_count", "equilibria", "notes"],
+    "game": ["name", "players", "K", "rule", "partition_count", "strategy_counts",
+             "profile_count"],
+    "equilibrium": ["profile", "support", "strategy_labels", "payoffs",
+                    "partition_distribution", "max_regret", "mode", "strict",
+                    "degenerate"],
+    "family": ["kind", "game", "per_k", "diffs"],
+    "per_k": ["K", "error", "notes", "equilibrium_count", "equilibrium_partitions",
+              "equilibria"],
+    "diff": ["from_K", "to_K", "partitions_gained", "partitions_lost"],
+    "validate": ["kind", "ok", "axioms", "nesting"],
+    "axioms": ["ok", "maps_into_family", "domains_disjoint", "domains_cover",
+               "domain_sizes"],
+    "nesting": ["ok", "pairs"],
+    "pair": ["k_small", "k_large", "partition_nesting", "strategy_nesting",
+             "payoff_consistency", "rule_consistency"],
+}
+
+
+@pytest.mark.parametrize("name", ["pd", "dinner"])
+def test_json_key_order_is_pinned(tmp_path, name):
+    spec = replace(cg.bundled_spec(name), k_min=1, k_max=2)
+    path = tmp_path / f"{name}.spec"
+    path.write_text(cg.serialize_spec(spec), encoding="utf-8")
+    payloads = {}
+    for command in ("solve", "family", "validate"):
+        code, out, _ = _run(command, str(path), "--format", "json")
+        assert code == 0
+        payloads[command] = json.loads(out)
+        assert list(payloads[command]) == _JSON_KEYS[command]
+    solve, family, validate = payloads["solve"], payloads["family"], payloads["validate"]
+    assert list(solve["game"]) == _JSON_KEYS["game"]
+    assert list(solve["equilibria"][0]) == _JSON_KEYS["equilibrium"]
+    assert [entry["K"] for entry in family["per_k"]] == [1, 2]
+    for entry in family["per_k"]:
+        assert list(entry) == _JSON_KEYS["per_k"]
+        assert list(entry["equilibria"][0]) == _JSON_KEYS["equilibrium"]
+    (diff,) = family["diffs"]
+    assert list(diff) == _JSON_KEYS["diff"]
+    assert list(validate["axioms"]) == ["1", "2"]
+    for entry in validate["axioms"].values():
+        assert list(entry) == _JSON_KEYS["axioms"]
+    assert list(validate["nesting"]) == _JSON_KEYS["nesting"]
+    (pair,) = validate["nesting"]["pairs"]
+    assert list(pair) == _JSON_KEYS["pair"]
+    assert all(list(check) == ["ok", "detail"] for check in list(pair.values())[2:])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import coalgame as cg
-from coalgame.families import _solve_game
+from coalgame.reports import _solve_game
 
 from conftest import find_strategy, pure_profile
 
@@ -96,7 +96,7 @@ def test_tampered_payoff_is_caught_with_the_offending_key():
     tampered = cg.GameFamily(base=fam.base, games={1: fam[1], 2: bad_game})
     report = cg.check_nesting(tampered)
     assert not report.ok
-    pay = report.pairs[0].payoff_consistency
+    pay = report.pairs[0].checks["payoff_consistency"]
     assert not pay.ok
     assert "0|1" in pay.detail
 

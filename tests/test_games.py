@@ -513,6 +513,26 @@ def test_broken_rule_fails_first_axiom():
     assert not report.maps_into_family.ok
     assert report.maps_into_family.counterexample == (0, 0)
     assert not report.ok
+    # The one profile maps outside the family, so it is the one left uncovered.
+    assert not report.domains_cover.ok
+    assert report.domains_cover.counterexample == report.maps_into_family.counterexample
+    assert report.domains_cover.detail == "domains cover 0 of 1 profiles"
+    assert report.domains_disjoint.ok
+    assert report.domain_sizes == {}
+    # The validate report of a one-K family on the game says the same. It
+    # reads only the games, not the family's spec.
+    validate = cg.build_validate_report(cg.GameFamily(base=None, games={1: game}))
+    assert not validate.ok
+    assert validate.to_dict()["axioms"]["1"] == {
+        "ok": False,
+        "maps_into_family": False,
+        "domains_disjoint": True,
+        "domains_cover": False,
+        "domain_sizes": {},
+    }
+    assert "K=1: axioms maps_into_family=FAIL disjoint=ok cover=FAIL" in (
+        validate.render_text().splitlines()
+    )
 
 
 def test_axiom_check_respects_budget(dinner):

@@ -17,7 +17,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coalgame as cg
 from coalgame import solver
-from coalgame.families import SolveOptions, _solve_game
+from coalgame.reports import SolveOptions, _solve_game
 from coalgame.solver import _distinct
 
 from test_games import _small_games
@@ -151,7 +151,7 @@ def test_reports_match_the_per_result_reference_on_every_bundled_spec(name):
     for mode in ("weak", "strict"):
         options = SolveOptions(mode=mode)
         result = cg.equilibria_across_k(family, options)
-        per_k = cg.FamilyReport(family=family, result=result).to_dict()["per_k"]
+        per_k = result.to_dict()["per_k"]
         assert [entry["K"] for entry in per_k] == list(range(1, spec.n + 1))
         for (_, game), k_report, entry in zip(family, result.per_k, per_k):
             assert entry["error"] is None

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import coalgame as cg
-from coalgame import families, solver
-from coalgame.families import SolveOptions, _solve_game
+from coalgame import reports, solver
+from coalgame.reports import SolveOptions, _solve_game
 from coalgame.solver import DEDUP_TOL, _distinct
 
 from conftest import find_strategy, pure_profile
@@ -673,7 +673,7 @@ def test_dedup_runs_only_when_the_mixed_search_found_results(
         merged.append(len(keys))
         return solver._distinct(keys)
 
-    monkeypatch.setattr(families, "_distinct", recorded)
+    monkeypatch.setattr(reports, "_distinct", recorded)
     for game, options in (
         (dinner, SolveOptions(max_support=1, budget=20000)),
         (pd2, SolveOptions(max_support=1)),
