@@ -263,7 +263,6 @@ def profiles_from_report(report_dict: dict) -> list[MixedProfile]:
 class ValidateReport:
     """Mechanism axioms per K plus the nesting verification."""
 
-    family: GameFamily
     axioms: dict[int, MechanismAxiomReport]
     nesting: NestingReport
 
@@ -329,7 +328,7 @@ def build_validate_report(
     family: GameFamily, *, budget: int | None = None
 ) -> ValidateReport:
     axioms = {k: check_mechanism_axioms(game, budget=budget) for k, game in family}
-    return ValidateReport(family=family, axioms=axioms, nesting=check_nesting(family))
+    return ValidateReport(axioms=axioms, nesting=check_nesting(family))
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,16 +12,16 @@ combinations with a conditionally dominated in-support strategy and solves
 the others' indifference systems at once: two players' systems are linear,
 solved by ``_solve_stack``; more players' get one Newton run on the exact
 Jacobian, from the uniform point and 16 fixed interior points per
-combination. One ``_deviation_payoffs`` pass validates each candidate and
-gives its result. One SVD kernel, ``_lstsq_stack``, solves every two-player
-system and every exactly singular Newton step. The reported ``max_regret``
-is the largest improvement any pure deviation achieves (floored at zero).
-Realized-partition probabilities and utility per partition come from one
-pushforward through the formation rule, ``_pushforward``. Both searches
-gather their results in one columnar :class:`EquilibriumTable`, whose
-fields are all indexed by row, the realized-partition distributions too;
-the public functions return its rows as :class:`EquilibriumResult`
-objects.
+combination. The candidates come back as columns, all validated by one
+batched pass, ``_regret_and_strict``. One SVD kernel, ``_lstsq_stack``,
+solves every two-player system and every exactly singular Newton step. The
+reported ``max_regret`` is the largest improvement any pure deviation
+achieves (floored at zero). Realized-partition probabilities and utility per
+partition come from one pushforward through the formation rule,
+``_pushforward``. Both searches gather their results in one columnar
+:class:`EquilibriumTable`, whose fields are all indexed by row, the
+realized-partition distributions too; the public functions return its rows
+as :class:`EquilibriumResult` objects.
 
 All operations are pure functions of an immutable :class:`~coalgame.games.Game`.
 """
@@ -292,15 +292,17 @@ def _embed(m: int, support: Sequence[int], weights) -> np.ndarray:
 def _deviation_payoffs(
     payoffs: np.ndarray, sigmas: Sequence[np.ndarray]
 ) -> list[np.ndarray]:
-    """Per player: expected payoff of each pure strategy against the others'
-    mixtures, from a payoff tensor (a game's, or a sub-tensor of it) whose
-    axes match ``sigmas``."""
+    """Per player, one row per profile: expected payoff of each pure strategy
+    against the others' mixtures (rows of ``sigmas``), from a payoff tensor
+    (a game's, or a sub-tensor of it) whose axes match their columns."""
     n = len(sigmas)
     out = []
     for i in range(n):
-        arr = np.moveaxis(payoffs[..., i], i, 0)
+        # Contiguous: on a strided view matmul picks another BLAS kernel,
+        # which moves the last bits of the payoffs.
+        arr = np.ascontiguousarray(np.moveaxis(payoffs[..., i], i, 0)).reshape(1, -1)
         for j in reversed([j for j in range(n) if j != i]):
-            arr = np.tensordot(arr, sigmas[j], axes=([-1], [0]))
+            arr = (arr.reshape(len(arr), -1, sigmas[j].shape[1]) @ sigmas[j][:, :, None])[..., 0]
         out.append(arr)
     return out
 
@@ -367,29 +369,33 @@ def is_equilibrium(
     achieves (floored at zero).
     """
     _check_solve_args(mode, tol)
-    sigmas = _sigmas(game, profile)
-    _, max_regret, strict = _regret_and_strict(
-        sigmas, _deviation_payoffs(game.payoff_tensor, sigmas), tol
-    )
-    ok = max_regret <= tol and (mode == "weak" or strict)
-    return EquilibriumCheck(ok=ok, max_regret=max_regret)
+    sigmas = [s[None] for s in _sigmas(game, profile)]
+    _, max_regret, strict = _regret_and_strict(game.payoff_tensor, sigmas, tol)
+    ok = max_regret[0] <= tol and (mode == "weak" or strict[0])
+    return EquilibriumCheck(ok=bool(ok), max_regret=float(max_regret[0]))
 
 
 def _regret_and_strict(
-    sigmas: Sequence[np.ndarray], dev: Sequence[np.ndarray], tol: float
-) -> tuple[np.ndarray, float, bool]:
-    """From one deviation-payoff pass: each player's expected utility, the
-    largest gain of any pure deviation (floored at zero), and whether every
-    pure strategy outside a player's support does worse by more than ``tol``.
-    """
-    eu = np.array([float(sigmas[i] @ dev[i]) for i in range(len(sigmas))])
-    max_regret = 0.0
-    strict = True
-    for i, sigma in enumerate(sigmas):
-        max_regret = max(max_regret, float(dev[i].max() - eu[i]))
-        outside = sigma <= _NORM_TOL
-        if np.any(outside) and float(dev[i][outside].max()) >= eu[i] - tol:
-            strict = False
+    payoffs: np.ndarray, sigmas: Sequence[np.ndarray], tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per profile (one row of each player's ``sigmas``): each player's
+    expected utility, the largest gain of any pure deviation (floored at
+    zero), and whether every pure strategy outside a player's support does
+    worse by more than ``tol``. A ``_deviation_payoffs`` pass holds fewer
+    than ``payoffs.size`` floats per profile, so it takes at most
+    ``STACK_FLOATS // payoffs.size`` profiles (at least one)."""
+    step = max(1, STACK_FLOATS // payoffs.size)
+    eu = np.empty((len(sigmas[0]), len(sigmas)))
+    max_regret = np.zeros(len(eu))
+    strict = np.ones(len(eu), dtype=bool)
+    for start in range(0, len(eu), step):
+        rows = slice(start, start + step)
+        chunk = [s[rows] for s in sigmas]
+        for i, (sigma, dev) in enumerate(zip(chunk, _deviation_payoffs(payoffs, chunk))):
+            eu[rows, i] = (sigma[:, None, :] @ dev[:, :, None])[:, 0, 0]
+            np.fmax(max_regret[rows], dev.max(axis=1) - eu[rows, i], out=max_regret[rows])
+            outside = np.where(sigma <= _NORM_TOL, dev, -np.inf).max(axis=1)
+            strict[rows] &= ~(outside >= eu[rows, i] - tol)
     return eu, max_regret, strict
 
 
@@ -524,11 +530,6 @@ def enumerate_pure_equilibria(
     one partition its profile realizes. Raises ``InternalInconsistencyError``
     naming the first equilibrium cell the rule maps outside the family."""
     return list(_pure_table(game, mode, tol, budget))
-
-
-def _support_iter(m: int, max_size: int):
-    for size in range(1, max_size + 1):
-        yield from itertools.combinations(range(m), size)
 
 
 def _support_count(m: int, max_size: int) -> int:
@@ -826,11 +827,13 @@ def _newton_roots(sub: np.ndarray, sizes: Sequence[int]) -> tuple[np.ndarray, ..
 
 
 def _mixed_candidates(
-    game: Game, supports: Sequence[Sequence[tuple[int, ...]]], tol: float
-) -> dict[tuple[tuple[int, ...], ...], list[tuple[list[np.ndarray], bool]]]:
+    game: Game, caps: Sequence[int], tol: float
+) -> tuple[np.ndarray, list[np.ndarray], np.ndarray]:
     """Candidates on every support combination in which some support has two
-    or more strategies, keyed by the combination; combinations without a
-    candidate are left out. Candidates are validated downstream.
+    or more strategies (player i's of at most ``caps[i]``), as columns: each
+    player's support position (by size, then lexicographic), per player a
+    matrix of strategy vectors, and ``degenerate`` flags. A combination's
+    candidates are adjacent rows in start order; they are validated downstream.
 
     Combinations are taken one stack per support-size signature, for any
     number of players. A stack first drops each combination with a
@@ -842,15 +845,18 @@ def _mixed_candidates(
     where its starts reach several roots).
     """
     counts = game.strategy_counts
-    # Supports come in increasing size, so each group holds one size.
-    groups = [[list(g) for _, g in itertools.groupby(s, len)] for s in supports]
-    found = {}
-    for signature in itertools.product(*groups):
-        sizes = [len(group[0]) for group in signature]
+    # Per player and support size k: the supports of size k, one per row.
+    supports = [
+        [np.array(list(itertools.combinations(range(m), k))) for k in range(1, cap + 1)]
+        for m, cap in zip(counts, caps)
+    ]
+    positions, flags = [np.zeros((0, game.n), dtype=np.intp)], [np.zeros(0, dtype=bool)]
+    vectors = [[np.zeros((0, m))] for m in counts]
+    for sizes in itertools.product(*(range(1, cap + 1) for cap in caps)):
         if max(sizes) == 1:
             continue
-        tables = [np.array(group) for group in signature]
-        shape = [len(group) for group in signature]
+        tables = [s[k - 1] for s, k in zip(supports, sizes)]
+        shape = [len(t) for t in tables]
         alive = np.flatnonzero(~_conditionally_dominated(game, tables, tol))
         # Two players' systems are linear: one Jacobian per combination.
         if game.n == 2:
@@ -864,57 +870,49 @@ def _mixed_candidates(
             chunk = [t[r] for t, r in zip(tables, rows)]
             sub = game.payoff_tensor[_combination_index(chunk)]
             owners, weights, degenerate = solve(sub, sizes)
-            # Row k of vectors[j]: player j's strategy vector of candidate k.
-            vectors = [np.zeros((owners.size, m)) for m in counts]
             parts = np.split(weights, np.cumsum(sizes)[:-1], axis=1)
-            for v, t, part in zip(vectors, chunk, parts):
-                np.put_along_axis(v, t[owners], part, axis=1)
-            for c, group in itertools.groupby(range(owners.size), owners.__getitem__):
-                combo = tuple(g[r[c]] for g, r in zip(signature, rows))
-                found[combo] = [([v[k] for v in vectors], bool(degenerate[k])) for k in group]
-    return found
+            for v, m, t, part in zip(vectors, counts, chunk, parts):
+                v.append(np.zeros((owners.size, m)))
+                np.put_along_axis(v[-1], t[owners], part, axis=1)
+            positions.append(np.column_stack(
+                [_support_count(m, k - 1) + r[owners] for m, k, r in zip(counts, sizes, rows)]
+            ))
+            flags.append(degenerate)
+    vectors = [np.concatenate(v) for v in vectors]
+    return np.concatenate(positions), vectors, np.concatenate(flags)
 
 
 def _support_table(
     game: Game, max_support: int | None, tol: float, budget: int | None
 ) -> EquilibriumTable:
-    """The equilibria of ``support_enumeration`` as a table: the accepted
-    candidates of ``_mixed_candidates`` in combination order, deduplicated,
-    with their distributions from ``_pushforward``."""
+    """The equilibria of ``support_enumeration`` as a table: the candidates
+    of ``_mixed_candidates`` in combination order, validated by one batched
+    ``_regret_and_strict`` call, the accepted ones deduplicated, with their
+    distributions from ``_pushforward``."""
     _check_solve_args("weak", tol, max_support)
     counts = game.strategy_counts
     caps = [m if max_support is None else min(m, max_support) for m in counts]
-    total = 1
-    for m, cap in zip(counts, caps):
-        total *= _support_count(m, cap)
-    _check_budget(total, budget, "support_enumeration")
-
-    supports = [list(_support_iter(m, cap)) for m, cap in zip(counts, caps)]
-    found = _mixed_candidates(game, supports, tol)
-    position = [{support: k for k, support in enumerate(s)} for s in supports]
-    kept = []  # per accepted candidate: sigmas, payoffs, regret, strict, degenerate
-    # Combinations in ``itertools.product(*supports)`` order.
-    for combo in sorted(found, key=lambda c: [p[t] for p, t in zip(position, c)]):
-        for vectors, degenerate in found[combo]:
-            sigmas = [_normalized(v) for v in vectors]
-            eu, max_regret, strict = _regret_and_strict(
-                sigmas, _deviation_payoffs(game.payoff_tensor, sigmas), tol
-            )
-            if max_regret <= tol:
-                kept.append((sigmas, eu, max_regret, strict, degenerate))
-    if not kept:
-        return EquilibriumTable.empty(game, "weak")
-    kept = [kept[i] for i in _distinct(np.array([np.concatenate(k[0]) for k in kept]))]
-    sigmas, payoffs, max_regret, strict, degenerate = zip(*kept)
+    _check_budget(math.prod(map(_support_count, counts, caps)), budget, "support_enumeration")
+    positions, vectors, degenerate = _mixed_candidates(game, caps, tol)
+    # Combinations in ``itertools.product`` order, each one's candidates in
+    # start order (the sort is stable); a flat index could overflow intp.
+    order = np.lexsort(positions.T[::-1])
+    # Normalized again, as ``MixedStrategy`` is: row sums need not be one.
+    sigmas = [(v / v.sum(axis=1, keepdims=True))[order] for v in vectors]
+    payoffs, max_regret, strict = _regret_and_strict(game.payoff_tensor, sigmas, tol)
+    accepted = np.flatnonzero(max_regret <= tol)
+    rows = accepted[_distinct(np.hstack([s[accepted] for s in sigmas]))]
+    profiles = tuple(s[rows] for s in sigmas)
+    distributions = [_pushforward(game, [p[r] for p in profiles]) for r in range(len(rows))]
     return EquilibriumTable(
         family=game.family,
         mode="weak",
-        profiles=tuple(map(np.array, zip(*sigmas))),
-        payoffs=np.array(payoffs),
-        max_regret=np.array(max_regret),
-        strict=np.array(strict),
-        degenerate=np.array(degenerate),
-        distributions=np.array([_pushforward(game, profile) for profile in sigmas]),
+        profiles=profiles,
+        payoffs=payoffs[rows],
+        max_regret=max_regret[rows],
+        strict=strict[rows],
+        degenerate=degenerate[order][rows],
+        distributions=np.array(distributions).reshape(len(rows), len(game.family)),
     )
 
 
@@ -935,16 +933,17 @@ def support_enumeration(
     signature, for any number of players. It skips a combination in which
     some in-support strategy is conditionally dominated by more than a
     margin over ``tol``, as none of its candidates could pass validation.
-    In combination order, one ``_deviation_payoffs`` pass per candidate gives
-    the weak check and its result's payoffs, regret and strictness. Accepted
-    ones are deduplicated within per-coordinate distance 1e-6, so the first
-    of a cluster of near-duplicates is the one kept. A solution may still
-    be pure once clipped. Singular systems are sampled rather than skipped:
-    the sample is reported with ``degenerate=True`` to mark a continuum of
-    equilibria on that support. Two players' systems are linear, each solved
-    by the SVD's minimum-norm least squares (``_solve_stack``). On three or
-    more players each gets one Newton run on the exact Jacobian from 17
-    fixed starts (LU steps, and least-squares steps where a Jacobian is
-    exactly singular), so equilibria that these starts miss are not found.
+    One batched ``_regret_and_strict`` pass over the candidates, in
+    combination order, gives the weak check and their payoffs, regret and
+    strictness. Accepted ones are deduplicated within per-coordinate
+    distance 1e-6, so the first of a cluster of near-duplicates is the one
+    kept. A solution may still be pure once clipped. Singular systems are
+    sampled rather than skipped: the sample is reported with
+    ``degenerate=True`` to mark a continuum of equilibria on that support.
+    Two players' systems are linear, each solved by the SVD's minimum-norm
+    least squares (``_solve_stack``). On three or more players each gets one
+    Newton run on the exact Jacobian from 17 fixed starts (LU steps, and
+    least-squares steps where a Jacobian is exactly singular), so equilibria
+    that these starts miss are not found.
     """
     return list(_support_table(game, max_support, tol, budget))

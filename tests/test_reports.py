@@ -21,6 +21,7 @@ from coalgame.reports import SolveOptions, _solve_game
 from coalgame.solver import _distinct
 
 from test_games import _small_games
+from test_solver import _by_combination, _supports
 
 
 def _keys(profiles):
@@ -50,8 +51,8 @@ def _reference_pure(game, mode, tol):
 
 def _reference_mixed(game, max_support, tol):
     caps = [m if max_support is None else min(m, max_support) for m in game.strategy_counts]
-    supports = [list(solver._support_iter(m, cap)) for m, cap in zip(game.strategy_counts, caps)]
-    found = solver._mixed_candidates(game, supports, tol)
+    supports = [_supports(m, cap) for m, cap in zip(game.strategy_counts, caps)]
+    found = _by_combination(game, caps, solver._mixed_candidates(game, caps, tol))
     position = [{support: k for k, support in enumerate(s)} for s in supports]
     accepted = []
     for combo in sorted(found, key=lambda c: [p[t] for p, t in zip(position, c)]):
@@ -62,18 +63,16 @@ def _reference_mixed(game, max_support, tol):
     results = []
     for i in _distinct(_keys(profile for profile, _ in accepted)):
         profile, degenerate = accepted[i]
-        sigmas = profile.vectors()
-        eu, max_regret, strict = solver._regret_and_strict(
-            sigmas, solver._deviation_payoffs(game.payoff_tensor, sigmas), tol
-        )
+        sigmas = [v[None] for v in profile.vectors()]
+        eu, max_regret, strict = solver._regret_and_strict(game.payoff_tensor, sigmas, tol)
         results.append(cg.EquilibriumResult(
             profile=profile,
             mode="weak",
-            payoffs=eu,
+            payoffs=eu[0],
             partition_distribution=cg.equilibrium_partitions(game, profile),
-            max_regret=max_regret,
+            max_regret=float(max_regret[0]),
             support=tuple(s.support for s in profile.strategies),
-            strict=strict,
+            strict=bool(strict[0]),
             degenerate=degenerate,
         ))
     return results

@@ -344,10 +344,47 @@ def test_three_player_pennies_has_only_the_uniform_equilibrium():
     assert r.strict and not r.degenerate
 
 
+def _supports(m, cap):
+    """The supports of at most ``cap`` of ``m`` strategies, by size, then
+    lexicographic: the order of ``solver._mixed_candidates``' positions."""
+    return [t for k in range(1, cap + 1) for t in itertools.combinations(range(m), k)]
+
+
+def _by_combination(game, caps, columns):
+    """The columns ``solver._mixed_candidates`` returns as a dict from each
+    support combination to its candidates ``(vectors, degenerate)``, in row
+    order; a combination's rows must be adjacent."""
+    positions, vectors, degenerate = columns
+    supports = [_supports(m, cap) for m, cap in zip(game.strategy_counts, caps)]
+    found = {}
+    for k, row in enumerate(positions.tolist()):
+        combo = tuple(s[p] for s, p in zip(supports, row))
+        assert combo not in found or combo == next(reversed(found))
+        found.setdefault(combo, []).append(([v[k] for v in vectors], bool(degenerate[k])))
+    return found
+
+
+def _as_columns(game, caps, found):
+    """A dict of ``_by_combination``'s form as the columns
+    ``solver._mixed_candidates`` returns."""
+    supports = [_supports(m, cap) for m, cap in zip(game.strategy_counts, caps)]
+    index = [{t: k for k, t in enumerate(s)} for s in supports]
+    rows = [(combo, c) for combo, candidates in found.items() for c in candidates]
+    positions = [[p[t] for p, t in zip(index, combo)] for combo, _ in rows]
+    return (
+        np.array(positions, dtype=np.intp).reshape(-1, game.n),
+        [
+            np.array([c[0][i] for _, c in rows]).reshape(-1, m)
+            for i, m in enumerate(game.strategy_counts)
+        ],
+        np.array([c[1] for _, c in rows], dtype=bool),
+    )
+
+
 def _mixed_combinations(game):
     """Every support combination in which some support has two or more
     strategies, in combination order."""
-    supports = [list(solver._support_iter(m, m)) for m in game.strategy_counts]
+    supports = [_supports(m, m) for m in game.strategy_counts]
     return [c for c in itertools.product(*supports) if max(map(len, c)) > 1]
 
 
@@ -493,9 +530,9 @@ def _per_pair_support_enumeration(
     weak pure profile is also a candidate of its pair."""
     counts = game.strategy_counts
     _, weak, _ = solver._pure_regret_arrays(game, tol)
-    supports = [solver._support_iter(m, min(m, max_support or m)) for m in counts]
+    supports = [_supports(m, min(m, max_support or m)) for m in counts]
     accepted = []
-    for t0, t1 in itertools.product(*(list(s) for s in supports)):
+    for t0, t1 in itertools.product(*supports):
         vectors = [np.zeros(counts[0]), np.zeros(counts[1])]
         if len(t0) == len(t1) == 1:
             if not (pure and weak[t0[0], t1[0]]):
@@ -520,18 +557,16 @@ def _per_pair_support_enumeration(
     results = []
     for i in _distinct(_keys([profile for profile, _ in accepted])):
         profile, degenerate = accepted[i]
-        sigmas = profile.vectors()
-        eu, max_regret, strict = solver._regret_and_strict(
-            sigmas, solver._deviation_payoffs(game.payoff_tensor, sigmas), tol
-        )
+        sigmas = [v[None] for v in profile.vectors()]
+        eu, max_regret, strict = solver._regret_and_strict(game.payoff_tensor, sigmas, tol)
         results.append(cg.EquilibriumResult(
             profile=profile,
             mode="weak",
-            payoffs=eu,
+            payoffs=eu[0],
             partition_distribution=cg.equilibrium_partitions(game, profile),
-            max_regret=max_regret,
+            max_regret=float(max_regret[0]),
             support=tuple(s.support for s in profile.strategies),
-            strict=strict,
+            strict=bool(strict[0]),
             degenerate=degenerate,
         ))
     return results
@@ -695,11 +730,18 @@ def test_n_player_search_tries_only_mixed_combinations(monkeypatch):
     results, _ = _solve_game(game, SolveOptions())
     mixed = _mixed_combinations(game)
     assert sorted(c for c, _ in _checked_combinations(checked)) == sorted(mixed)
-    ((_, found),) = searched
+    ((_, columns),) = searched
+    found = _by_combination(game, game.strategy_counts, columns)
     assert found and set(found) <= set(mixed)
     # Every validation is of a candidate from a mixed combination.
-    assert len(validated) == sum(len(out) for out in found.values())
+    assert sum(len(args[1][0]) for args, _ in validated) == sum(
+        len(out) for out in found.values()
+    )
     assert {((0,), (0,), (0,)), ((1,), (1,), (1,))} <= {r.support for r in results}
+
+
+def _sorted_rows(a):
+    return a[np.lexsort(a.T[::-1])]
 
 
 def test_one_deviation_pass_per_candidate(monkeypatch):
@@ -707,10 +749,68 @@ def test_one_deviation_pass_per_candidate(monkeypatch):
     searched = _record_calls(monkeypatch, "_mixed_candidates")
     passes = _record_calls(monkeypatch, "_deviation_payoffs")
     results = cg.support_enumeration(game)
-    ((_, found),) = searched
-    candidates = sum(len(out) for out in found.values())
+    ((_, (_, vectors, _)),) = searched
     assert results
-    assert len(passes) == candidates
+    # The rows validated are the candidates, normalized, each exactly once.
+    given = np.hstack([np.vstack([args[1][i] for args, _ in passes]) for i in range(game.n)])
+    candidates = np.hstack([v / v.sum(axis=1, keepdims=True) for v in vectors])
+    assert np.array_equal(_sorted_rows(given), _sorted_rows(candidates))
+
+
+def _tensordot_deviation_payoffs(payoffs, sigmas):
+    """Reference: one profile's deviation payoffs, per player by
+    ``np.tensordot`` over the others' axes, last axis first."""
+    n = len(sigmas)
+    out = []
+    for i in range(n):
+        arr = np.moveaxis(payoffs[..., i], i, 0)
+        for j in reversed([j for j in range(n) if j != i]):
+            arr = np.tensordot(arr, sigmas[j], axes=([-1], [0]))
+        out.append(arr)
+    return out
+
+
+def test_stacked_deviation_pass_matches_tensordot_bit_for_bit():
+    rng = np.random.default_rng(3)
+    games = [
+        _generic_game(7, 1612),
+        _three_player_game(3, 0, False),
+        _action_game(rng.random((2,) * 4 + (4,))),
+    ]
+    for game in games:
+        sigmas = [rng.dirichlet(np.ones(m), 20) for m in game.strategy_counts]
+        stacked = solver._deviation_payoffs(game.payoff_tensor, sigmas)
+        eu = solver._regret_and_strict(game.payoff_tensor, sigmas, cg.DEFAULT_TOL)[0]
+        for k in range(20):
+            profile = [s[k] for s in sigmas]
+            alone = _tensordot_deviation_payoffs(game.payoff_tensor, profile)
+            assert [d[k].tobytes() for d in stacked] == [a.tobytes() for a in alone]
+            assert eu[k].tolist() == [float(s @ a) for s, a in zip(profile, alone)]
+
+
+def _column_bytes(table):
+    columns = (*table.profiles, *(getattr(table, name) for name in solver._COLUMNS))
+    return [(c.shape, c.tobytes()) for c in columns]
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_chunked_validation_gives_the_same_bits(monkeypatch, pd2, pennies, rows):
+    """Validation ``rows`` profiles at a time gives every table column bit
+    for bit, and no deviation pass takes more rows than ``STACK_FLOATS``
+    allows."""
+    games = [pd2, pennies, _generic_game(7, 1612), _three_player_game(3, 0, False)]
+    expected = [solver._support_table(g, None, cg.DEFAULT_TOL, None) for g in games]
+    passes = _record_calls(monkeypatch, "_deviation_payoffs")
+    split = 0
+    for game, table in zip(games, expected):
+        monkeypatch.setattr(solver, "STACK_FLOATS", rows * game.payoff_tensor.size)
+        passes.clear()
+        got = solver._support_table(game, None, cg.DEFAULT_TOL, None)
+        assert _column_bytes(got) == _column_bytes(table)
+        for (payoffs, sigmas), _ in passes:
+            assert len(sigmas[0]) <= max(1, solver.STACK_FLOATS // payoffs.size) == rows
+        split += len(passes) > 1
+    assert split
 
 
 def _buckets(game):
@@ -879,7 +979,7 @@ _tied_three_player_games = st.builds(
 
 
 def _assert_pruning_changes_no_result(game, tol):
-    supports = [list(solver._support_iter(m, m)) for m in game.strategy_counts]
+    supports = [_supports(m, m) for m in game.strategy_counts]
     # One check per support-size signature, as the search makes them.
     signatures = {}
     for combo in itertools.product(*supports):
@@ -931,7 +1031,7 @@ def _indifference_residuals(sub, probs):
     ``_deviation_payoffs``: per player, each in-support strategy's payoff
     minus the first one's, then the weights' sum minus one."""
     eqs = []
-    for i, dev in enumerate(solver._deviation_payoffs(sub, probs)):
+    for i, (dev,) in enumerate(solver._deviation_payoffs(sub, [p[None] for p in probs])):
         eqs.extend(dev[1:] - dev[0])
         eqs.append(probs[i].sum() - 1.0)
     return np.array(eqs)
@@ -1041,11 +1141,13 @@ def test_newton_finds_every_root_hybrj_finds(monkeypatch, tol):
         with monkeypatch.context() as mp:
             mp.setattr(
                 solver, "_mixed_candidates",
-                lambda game, supports, tol: {
+                lambda game, caps, tol: _as_columns(game, caps, {
                     combo: _hybrj_candidates(game, combo, tol)
-                    for combo in itertools.product(*supports)
+                    for combo in itertools.product(
+                        *map(_supports, game.strategy_counts, caps)
+                    )
                     if max(map(len, combo)) > 1
-                },
+                }),
             )
             expected = cg.support_enumeration(game, tol=tol)
         references += len(expected)
@@ -1097,8 +1199,8 @@ def _per_combination_candidates(game, supports, tol):
 
 
 def _assert_matches_per_combination(game, tol=cg.DEFAULT_TOL):
-    supports = [list(solver._support_iter(m, m)) for m in game.strategy_counts]
-    got = solver._mixed_candidates(game, supports, tol)
+    caps = game.strategy_counts
+    got = _by_combination(game, caps, solver._mixed_candidates(game, caps, tol))
     expected = {}
     for combo in _mixed_combinations(game):
         candidates = _per_combination_candidates(game, combo, tol)
