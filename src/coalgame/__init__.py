@@ -9,6 +9,29 @@ partitions that an equilibrium induces; games for different K form nested
 families that can be checked and solved side by side.
 """
 
+
+def _import_numpy() -> None:
+    """Import numpy with one OpenBLAS thread, unless numpy is loaded already
+    or the caller sized the thread pool by ``OPENBLAS_NUM_THREADS``,
+    ``GOTO_NUM_THREADS`` or ``OMP_NUM_THREADS``. Every BLAS call the package
+    makes is a small stacked system, so a second thread only spins. OpenBLAS
+    reads the variable once, at load; it is removed again afterwards, so the
+    environment that child processes see is left as it was."""
+    import os
+    import sys
+
+    sized = {"OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ)
+    if "numpy" in sys.modules or sized:
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+_import_numpy()
+
 from .errors import (
     BudgetExceededError,
     CoalgameError,

@@ -12,7 +12,9 @@ combinations with a conditionally dominated in-support strategy and solves
 the others' indifference systems at once: two players' systems are linear,
 solved by ``_solve_stack``; more players' get one Newton run on the exact
 Jacobian, from the uniform point and 16 fixed interior points per
-combination. The candidates come back as columns, all validated by one
+combination, whose line search evaluates each step in two stacked calls:
+the full step, then its four halvings at once on the rows it did not
+improve. The candidates come back as columns, all validated by one
 batched pass, ``_regret_and_strict``. One SVD kernel, ``_lstsq_stack``,
 solves every two-player system and every exactly singular Newton step. The
 reported ``max_regret`` is the largest improvement any pure deviation
@@ -719,9 +721,11 @@ def _newton(
     sub: np.ndarray, z: np.ndarray, sizes: Sequence[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Newton's method on ``_indifference_system`` from each row of ``z`` at
-    once, each row's steps by ``_newton_steps`` on its own Jacobian. Each
-    step is halved at most four times until the start's largest residual
-    falls; a start stops when it no longer falls, all after 50 steps.
+    once, each row's steps by ``_newton_steps`` on its own Jacobian. A row
+    takes the first of its step and the step halved one to four times at
+    which its largest residual falls, and stops when none does, all after 50
+    steps. Each step costs two evaluations: the full step on every live row,
+    then its four halvings stacked on the rows where it did not fall.
     Returns the final points, largest residuals and Jacobians. An
     overflowing step has a non-finite residual, which does not fall."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -729,21 +733,26 @@ def _newton(
         worst = np.abs(fun).max(axis=1)
         live = np.arange(len(z))
         for _ in range(50):
-            step = _newton_steps(jac[live], fun[live])
+            steps = [_newton_steps(jac[live], fun[live])]
+            for _ in range(4):
+                steps.append(steps[-1] / 2)
             moved = np.zeros(live.size, dtype=bool)
-            for _ in range(5):
+            for tries in (steps[:1], steps[1:]):
                 wait = np.flatnonzero(~moved)
-                trial = z[live[wait]] + step[wait]
-                trial_fun, trial_jac = _indifference_system(sub[live[wait]], trial, sizes)
-                trial_worst = np.abs(trial_fun).max(axis=1)
-                fell = trial_worst < worst[live[wait]]
-                rows = live[wait[fell]]
-                z[rows], fun[rows], jac[rows] = trial[fell], trial_fun[fell], trial_jac[fell]
-                worst[rows] = trial_worst[fell]
-                moved[wait[fell]] = True
-                if moved.all():
+                if not wait.size:
                     break
-                step[~moved] /= 2
+                # One stack of trials, trial-major: row k of try t is t * wait.size + k.
+                rows = np.tile(live[wait], len(tries))
+                trial = z[rows] + np.concatenate([step[wait] for step in tries])
+                trial_fun, trial_jac = _indifference_system(sub[rows], trial, sizes)
+                trial_worst = np.abs(trial_fun).max(axis=1)
+                fell = (trial_worst < worst[rows]).reshape(len(tries), -1)
+                hit = np.flatnonzero(fell.any(axis=0))
+                pick = fell.argmax(axis=0)[hit] * wait.size + hit
+                done = live[wait[hit]]
+                z[done], fun[done], jac[done] = trial[pick], trial_fun[pick], trial_jac[pick]
+                worst[done] = trial_worst[pick]
+                moved[wait[hit]] = True
             live = live[moved]
             if not live.size:
                 break
@@ -838,8 +847,9 @@ def _mixed_candidates(
     Combinations are taken one stack per support-size signature, for any
     number of players. A stack first drops each combination with a
     conditionally dominated in-support strategy. The others' sub-tensors
-    are taken by one fancy index per chunk of at most ``STACK_FLOATS``
-    floats of Jacobians and sub-tensors, and the chunk is solved at once:
+    are taken by one fancy index per chunk whose solve holds at most
+    ``STACK_FLOATS`` floats of Jacobians and sub-tensors in one evaluation
+    of ``_indifference_system``, and the chunk is solved at once:
     two players' linear systems by ``_linear_roots`` (at most one candidate
     per pair), more players' by ``_newton_roots`` (several per combination
     where its starts reach several roots).
@@ -859,10 +869,11 @@ def _mixed_candidates(
         shape = [len(t) for t in tables]
         alive = np.flatnonzero(~_conditionally_dominated(game, tables, tol))
         # Two players' systems are linear: one Jacobian per combination.
+        # A Newton run evaluates up to four halved steps per start at once.
         if game.n == 2:
             solve, points = _linear_roots, 1
         else:
-            solve, points = _newton_roots, _NEWTON_STARTS
+            solve, points = _newton_roots, 4 * _NEWTON_STARTS
         floats = points * (sum(sizes) ** 2 + game.n * math.prod(sizes))
         step = max(1, STACK_FLOATS // floats)
         for start in range(0, alive.size, step):

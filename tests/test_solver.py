@@ -1296,6 +1296,143 @@ def test_singular_newton_steps_are_the_least_squares_steps():
         assert np.abs(steps[k] - expected).max() <= 1e-12
 
 
+def _newton_per_halving(sub, z, sizes):
+    """Reference for ``solver._newton``: the same Newton run, but each
+    halving of a step evaluated in its own ``_indifference_system`` call on
+    the rows that have not moved yet."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        fun, jac = solver._indifference_system(sub, z, sizes)
+        worst = np.abs(fun).max(axis=1)
+        live = np.arange(len(z))
+        for _ in range(50):
+            step = solver._newton_steps(jac[live], fun[live])
+            moved = np.zeros(live.size, dtype=bool)
+            for _ in range(5):
+                wait = np.flatnonzero(~moved)
+                trial = z[live[wait]] + step[wait]
+                trial_fun, trial_jac = solver._indifference_system(sub[live[wait]], trial, sizes)
+                trial_worst = np.abs(trial_fun).max(axis=1)
+                fell = trial_worst < worst[live[wait]]
+                rows = live[wait[fell]]
+                z[rows], fun[rows], jac[rows] = trial[fell], trial_fun[fell], trial_jac[fell]
+                worst[rows] = trial_worst[fell]
+                moved[wait[fell]] = True
+                if moved.all():
+                    break
+                step[~moved] /= 2
+            live = live[moved]
+            if not live.size:
+                break
+    return z, worst, jac
+
+
+def _newton_stacks(game):
+    """The arguments of every ``_newton`` run of ``game``'s support search,
+    copied before the run moves its points."""
+    stacks = []
+    original = solver._newton
+
+    def recorded(sub, z, sizes):
+        stacks.append((sub.copy(), z.copy(), tuple(sizes)))
+        return original(sub, z, sizes)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton", recorded)
+        cg.support_enumeration(game)
+    return stacks
+
+
+def _assert_newton_matches_per_halving(game):
+    stacks = _newton_stacks(game)
+    assert stacks
+    for sub, z, sizes in stacks:
+        got = solver._newton(sub, z.copy(), sizes)
+        expected = _newton_per_halving(sub, z.copy(), sizes)
+        for g, e in zip(got, expected):
+            assert np.array_equal(g, e, equal_nan=True)
+
+
+def test_newton_line_search_matches_the_per_halving_reference():
+    games = _generic_n_player_games() + [_three_player_game(4, 0, False), _twin_action_game()]
+    for game in games:
+        _assert_newton_matches_per_halving(game)
+
+
+@settings(max_examples=12, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(_tied_three_player_games)
+def test_newton_line_search_matches_the_per_halving_reference_on_tied_payoffs(game):
+    _assert_newton_matches_per_halving(game)
+
+
+def test_newton_evaluates_each_step_in_at_most_two_calls():
+    """Per step, one ``_indifference_system`` call on every live row, then
+    one stacked call of the four halvings, trial-major, on exactly the rows
+    whose full step did not lower their largest residual."""
+    halvings = 0
+    for game in [_three_player_game(3, 0, False), _twin_action_game()]:
+        for sub, z, sizes in _newton_stacks(game):
+            events = []
+            system, steps = solver._indifference_system, solver._newton_steps
+
+            def recorded_system(sub, z, sizes):
+                out = system(sub, z, sizes)
+                events.append(("system", sub, out[0]))
+                return out
+
+            def recorded_steps(jac, fun):
+                events.append(("steps", None, fun))
+                return steps(jac, fun)
+
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(solver, "_indifference_system", recorded_system)
+                mp.setattr(solver, "_newton_steps", recorded_steps)
+                solver._newton(sub, z, sizes)
+            kinds = [kind for kind, _, _ in events]
+            assert kinds[0] == "system"
+            assert kinds.count("system") <= 1 + 2 * kinds.count("steps")
+            for k in np.flatnonzero(np.array(kinds) == "steps"):
+                worst = np.abs(events[k][2]).max(axis=1)
+                assert kinds[k + 1] == "system"
+                _, full_sub, full_fun = events[k + 1]
+                stuck = ~(np.abs(full_fun).max(axis=1) < worst)
+                if not stuck.any():
+                    assert k + 2 == len(events) or kinds[k + 2] == "steps"
+                    continue
+                halvings += 1
+                assert kinds[k + 2] == "system"
+                half_sub = events[k + 2][1]
+                assert np.array_equal(half_sub, np.concatenate([full_sub[stuck]] * 4))
+    assert halvings
+
+
+def test_newton_evaluations_stay_within_stack_floats(monkeypatch):
+    """With a bound that fits several combinations per chunk but not all of
+    a signature's, no evaluation in a Newton run, the stacked halvings
+    included, holds more than ``STACK_FLOATS`` floats of Jacobians and
+    sub-tensors."""
+    game = _three_player_game(3, 0, False)
+    monkeypatch.setattr(solver, "STACK_FLOATS", 1 << 15)
+    sizes_of_runs, floats = [], []
+    system, newton = solver._indifference_system, solver._newton
+
+    def recorded_system(sub, z, sizes):
+        fun, jac = system(sub, z, sizes)
+        floats.append(sub.size + jac.size)
+        return fun, jac
+
+    def recorded_newton(sub, z, sizes):
+        sizes_of_runs.append((tuple(sizes), len(sub) // solver._NEWTON_STARTS))
+        return newton(sub, z, sizes)
+
+    monkeypatch.setattr(solver, "_indifference_system", recorded_system)
+    monkeypatch.setattr(solver, "_newton", recorded_newton)
+    cg.support_enumeration(game)
+    signatures = [sizes for sizes, _ in sizes_of_runs]
+    assert len(signatures) > len(set(signatures))
+    assert max(combos for _, combos in sizes_of_runs) > 1
+    assert max(floats) <= solver.STACK_FLOATS
+
+
 def test_stacked_newton_gives_the_same_results_one_combination_per_stack(monkeypatch):
     games = _generic_n_player_games() + [_twin_action_game()]
     expected = [cg.support_enumeration(game) for game in games]
