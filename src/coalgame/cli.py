@@ -11,7 +11,7 @@ input/spec, 3 budget exceeded, 4 internal inconsistency.
 from __future__ import annotations
 
 import argparse
-import json
+import json  # noqa: F401 -- bench/trace_child.py replaces cli.json to time dumps
 import sys
 from pathlib import Path
 
@@ -113,11 +113,10 @@ def _read_spec(path: Path):
 
 
 def _emit(args: argparse.Namespace, report, out) -> None:
-    """Print ``report`` as JSON or text. Its ``to_dict`` may share one list
-    between several equilibrium entries (a player's profile row, support and
-    labels), which ``json.dumps`` writes out in each."""
+    """Print ``report`` as text or as its ``to_json``: one line, the bytes
+    ``json.dumps`` writes for the report's dict."""
     if args.format == "json":
-        print(json.dumps(report.to_dict()), file=out)
+        print(report.to_json(), file=out)
     else:
         print(report.render_text(), file=out)
 

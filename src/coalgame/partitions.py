@@ -230,12 +230,19 @@ def enumerate_partitions(n: int, K: int) -> PartitionFamily:
         return PartitionFamily(n=n, K=K, partitions=(Partition.singletons(n),))
     out: list[Partition] = []
     blocks: list[list[int]] = []
+    # One Coalition per distinct block, shared by every partition holding
+    # it: P(n, 2) has only n + C(n, 2) distinct blocks.
+    coalitions: dict[tuple[int, ...], Coalition] = {}
+
+    def coalition(members: tuple[int, ...]) -> Coalition:
+        block = coalitions.get(members)
+        if block is None:
+            block = coalitions[members] = Coalition(members)
+        return block
 
     def extend(t: int) -> None:
         if t == n:
-            out.append(
-                Partition(tuple(Coalition(tuple(b)) for b in blocks), n)
-            )
+            out.append(Partition(tuple(coalition(tuple(b)) for b in blocks), n))
             return
         for block in blocks:
             if len(block) < K:

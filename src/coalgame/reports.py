@@ -3,14 +3,17 @@
 :func:`build_solve_report` (``solve``), :func:`build_validate_report`
 (``validate``) and :func:`equilibria_across_k` (``family``) each run the
 solvers or checks of one command and return its report. Every game is solved
-by :func:`_solve_game`. A report renders as text (``render_text``) or as a
-plain JSON-compatible dict (``to_dict``); ``json.dumps`` followed by
-``json.loads`` reproduces the dict exactly, and every reported profile can be
+by :func:`_solve_game`. A report renders as text (``render_text``), as one
+line of JSON (``to_json``) or as the plain dict that line parses to
+(``to_dict``); ``to_json`` writes the bytes ``json.dumps(report.to_dict())``
+would. The equilibria lists are written by :func:`_equilibria_json`, which
+encodes each distinct row of a column once. Every reported profile can be
 fed back through ``is_equilibrium``.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -112,75 +115,115 @@ def _unique_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[first].view(np.float64), inverse
 
 
-def _equilibria_dicts(game: Game, table: EquilibriumTable) -> list[dict]:
-    """The ``"equilibria"`` entries of a report dict, one per row of
-    ``table``, each column from one ``tolist()``. Per player, the entries
-    with the same strategy vector (bit for bit) share one ``profile`` row
-    and one ``support`` and ``strategy_labels`` list."""
+def _equilibria_json(game: Game, table: EquilibriumTable) -> str:
+    """The ``"equilibria"`` list of a report as JSON text, one object per
+    row of ``table``, exactly as ``json.dumps`` writes the per-row dicts.
+    Rows repeat: each distinct profile row (with its support and labels),
+    payoff row, distribution and ``max_regret`` is encoded once, by
+    ``json.dumps``, and each entry is joined from those fragments."""
     if not len(table):
-        return []
-    # Per player and column, the shared list of each entry.
+        return "[]"
+
+    def fragments(unique: list, inverse: np.ndarray) -> list[str]:
+        encoded = [json.dumps(value) for value in unique]
+        return [encoded[k] for k in inverse.tolist()]
+
+    # Per player, the fragments of each row's profile, support and labels.
     profiles, supports, labels = [], [], []
     for strategies, rows in zip(game.strategy_sets, table.profiles):
         unique, inverse = _unique_rows(rows)
         support = [np.flatnonzero(row > _NORM_TOL).tolist() for row in unique]
-        label = [[str(strategies[k]) for k in s] for s in support]
-        vectors, inverse = unique.tolist(), inverse.tolist()
-        profiles.append([vectors[k] for k in inverse])
-        supports.append([support[k] for k in inverse])
-        labels.append([label[k] for k in inverse])
-    keys = [p.key for p in game.family]
-    distributions: list[dict] = [{} for _ in range(len(table))]
-    rows, listed = np.nonzero(table.distributions > _LISTED_MASS)
-    for row, p, w in zip(
-        rows.tolist(), listed.tolist(), table.distributions[rows, listed].tolist()
-    ):
-        distributions[row][keys[p]] = w
-    return [
-        {
-            "profile": list(profile),
-            "support": list(support),
-            "strategy_labels": list(label),
-            "payoffs": payoffs,
-            "partition_distribution": distribution,
-            "max_regret": max_regret,
-            "mode": table.mode,
-            "strict": strict,
-            "degenerate": degenerate,
-        }
-        for profile, support, label, payoffs, distribution, max_regret, strict, degenerate
-        in zip(
-            zip(*profiles),
-            zip(*supports),
-            zip(*labels),
-            table.payoffs.tolist(),
-            distributions,
-            table.max_regret.tolist(),
-            table.strict.tolist(),
-            table.degenerate.tolist(),
+        profiles.append(fragments(unique.tolist(), inverse))
+        supports.append(fragments(support, inverse))
+        labels.append(
+            fragments([[str(strategies[k]) for k in s] for s in support], inverse)
         )
-    ]
+    keys = [p.key for p in game.family]
+    unique, inverse = _unique_rows(table.distributions)
+    distributions = fragments(
+        [{keys[p]: w for p, w in enumerate(row) if w > _LISTED_MASS}
+         for row in unique.tolist()],
+        inverse,
+    )
+    unique, inverse = _unique_rows(table.payoffs)
+    payoffs = fragments(unique.tolist(), inverse)
+    unique, inverse = _unique_rows(table.max_regret[:, None])
+    max_regret = fragments(unique[:, 0].tolist(), inverse)
+    flags = [json.dumps(False), json.dumps(True)]
+    # One %-template per entry, in the key order of the reports; its slots
+    # take one fragment of each column.
+    players = ", ".join(["%s"] * len(table.profiles))
+    entry = (
+        f'{{"profile": [{players}], "support": [{players}], '
+        f'"strategy_labels": [{players}], "payoffs": %s, '
+        '"partition_distribution": %s, "max_regret": %s, '
+        f'"mode": {json.dumps(table.mode)}, "strict": %s, "degenerate": %s}}'
+    )
+    columns = (
+        *profiles, *supports, *labels, payoffs, distributions, max_regret,
+        [flags[b] for b in table.strict.tolist()],
+        [flags[b] for b in table.degenerate.tolist()],
+    )
+    return "[" + ", ".join([entry % row for row in zip(*columns)]) + "]"
+
+
+class _Text(str):
+    """JSON text that :func:`_encode` writes as it stands."""
+
+
+def _encode(value) -> str:
+    """``json.dumps(value)``, with each :class:`_Text` inside written
+    unchanged. Dicts (with string keys only) and lists are joined here, with
+    ``json.dumps``' default separators; every other value goes through
+    ``json.dumps``. The pieces are joined once, so a long ``_Text`` is
+    copied once, not once per level of nesting."""
+    pieces: list[str] = []
+
+    def add(value) -> None:
+        if isinstance(value, _Text):
+            pieces.append(value)
+        elif isinstance(value, dict):
+            pieces.append("{")
+            for k, (key, item) in enumerate(value.items()):
+                pieces.append(f"{', ' if k else ''}{json.dumps(key)}: ")
+                add(item)
+            pieces.append("}")
+        elif isinstance(value, list):
+            pieces.append("[")
+            for k, item in enumerate(value):
+                if k:
+                    pieces.append(", ")
+                add(item)
+            pieces.append("]")
+        else:
+            pieces.append(json.dumps(value))
+
+    add(value)
+    return "".join(pieces)
 
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Equilibria of one game plus notes; text and dict renderings."""
+    """Equilibria of one game plus notes; text, JSON and dict renderings."""
 
     game: Game
     options: SolveOptions
     equilibria: EquilibriumTable
     notes: tuple[str, ...] = ()
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return _encode({
             "kind": "solve",
             "game": game_summary(self.game),
             "mode": self.options.mode,
             "tol": self.options.tol,
             "equilibrium_count": len(self.equilibria),
-            "equilibria": _equilibria_dicts(self.game, self.equilibria),
+            "equilibria": _Text(_equilibria_json(self.game, self.equilibria)),
             "notes": list(self.notes),
-        }
+        })
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     def render_text(self) -> str:
         game = self.game
@@ -302,6 +345,9 @@ class ValidateReport:
             },
         }
 
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
+
     def render_text(self) -> str:
         lines = [f"validate: {'ok' if self.ok else 'FAILED'}"]
         for k, report in sorted(self.axioms.items()):
@@ -371,8 +417,8 @@ class FamilyReport:
                 return entry
         raise InvalidParameterError(f"no report for K={K}")
 
-    def to_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return _encode({
             "kind": "family",
             "game": self.family.base.name,
             "per_k": [
@@ -382,8 +428,8 @@ class FamilyReport:
                     "notes": list(entry.notes),
                     "equilibrium_count": len(entry.equilibria),
                     "equilibrium_partitions": [p.key for p in entry.partitions],
-                    "equilibria": _equilibria_dicts(
-                        self.family[entry.K], entry.equilibria
+                    "equilibria": _Text(
+                        _equilibria_json(self.family[entry.K], entry.equilibria)
                     ),
                 }
                 for entry in self.per_k
@@ -397,7 +443,10 @@ class FamilyReport:
                 }
                 for d in self.diffs
             ],
-        }
+        })
+
+    def to_dict(self) -> dict:
+        return json.loads(self.to_json())
 
     def render_text(self) -> str:
         lines = [f"family report: {self.family.base.name or '<unnamed>'}"]

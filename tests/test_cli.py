@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -423,24 +424,23 @@ def test_three_player_mixed_solve_finds_the_same_results_in_a_fresh_process(spec
     assert np.allclose(equilibrium["profile"], 0.5, atol=1e-9)
 
 
+_IN_PROCESS = {
+    "solve": lambda spec: cg.build_solve_report(cg.build_game(spec)),
+    "family": lambda spec: cg.equilibria_across_k(cg.build_family(spec)),
+    "validate": lambda spec: cg.build_validate_report(cg.build_family(spec)),
+}
+
+
 @pytest.mark.parametrize("command", ["solve", "family", "validate"])
-def test_json_output_is_one_compact_line(spec_dir, monkeypatch, command):
-    dumps = json.dumps
-    dumped = []
-
-    def recording(obj, **kwargs):
-        dumped.append(obj)
-        return dumps(obj, **kwargs)
-
-    monkeypatch.setattr(cli.json, "dumps", recording)
+def test_json_output_is_one_compact_line(spec_dir, command):
     for name in cg.BUNDLED_SPECS:
-        dumped.clear()
         code, out, _ = _run(command, str(spec_dir / f"{name}.spec"), "--format", "json")
         assert code == 0
         assert out.endswith("\n") and out.count("\n") == 1
-        assert len(dumped) == 1
-        # The same keys and values as the indented dump of the same report.
-        assert json.loads(out) == json.loads(dumps(dumped[0], indent=2))
+        # Written as ``json.dumps`` writes the parsed value, default separators.
+        payload = json.loads(out)
+        assert out == json.dumps(payload) + "\n"
+        assert payload == _IN_PROCESS[command](cg.bundled_spec(name)).to_dict()
 
 
 #: The key sequence of each JSON object the commands write. The output is
@@ -492,3 +492,41 @@ def test_json_key_order_is_pinned(tmp_path, name):
     (pair,) = validate["nesting"]["pairs"]
     assert list(pair) == _JSON_KEYS["pair"]
     assert all(list(check) == ["ok", "detail"] for check in list(pair.values())[2:])
+
+
+#: SHA-256 of stdout for commands in which every equilibrium is pure, so no
+#: BLAS call can move a bit: a change to the solver, the reports or the JSON
+#: writer must keep these bytes.
+_PURE_OUTPUT_DIGESTS = [
+    (("family", "dinner", "--k-min", "1", "--k-max", "4", "--format", "json"),
+     "704595ee76c17ef61c4a672423c44ebf5f8e73e916d776b196eb41aa9d88b5b6"),
+    (("family", "dinner", "--k-min", "1", "--k-max", "4", "--format", "json",
+      "--mode", "strict"),
+     "1fbef0c3fa4fd10bc902aacd8f733d394fbfe2b2223587c2c2f97593b1a0adce"),
+    (("family", "dinner", "--k-min", "1", "--k-max", "4", "--format", "text"),
+     "2a53eba0e5df8d307a9f7ab9fd30d2e45cc20ad8820521e654148506f4dfab73"),
+    (("solve", "dinner", "--format", "json"),
+     "2c9bc327ccb35657e9437c322f67b9a834a46738d6628349f5aec7f056ad242d"),
+    (("validate", "dinner", "--format", "json"),
+     "8eba7cd293c5291727aaf5ad7071f9d50024b684a10c1ec1dc7f8350ae2ad352"),
+    (("solve", "pd_extrovert", "--format", "json"),
+     "0a120e9fac234bd127f9c38cf39547c21eba0bd1feb15ca73bd09c5446edb898"),
+    (("solve", "pd_extrovert", "--format", "json", "--mode", "strict"),
+     "c1057ab5e1cf7edea04f910329057fb614e9e750a290955181d701d131c5f820"),
+    (("family", "pd_extrovert", "--format", "json"),
+     "f7cae09004a67be4d8ddb648264bef02c084d985eb556e5327f10900b0fb784f"),
+    (("solve", "pd", "--K", "1", "--format", "json"),
+     "e280af4dd2a8879538420cc5c88f648d466bd8dca5ab6a4f3266f8c3f1793f7e"),
+    (("validate", "pd", "--format", "json"),
+     "e71c87ab7978ee7cb8c13c8bed05632083857d6b332d358f15e8ebf2d664dc8d"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _PURE_OUTPUT_DIGESTS, ids=[" ".join(a) for a, _ in _PURE_OUTPUT_DIGESTS]
+)
+def test_pure_outputs_keep_their_bytes(spec_dir, argv, digest):
+    command, name, *flags = argv
+    code, out, err = _run(command, str(spec_dir / f"{name}.spec"), *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

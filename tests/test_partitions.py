@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from coalgame import (
@@ -58,6 +60,28 @@ def test_enumeration_is_deterministic():
     a = enumerate_partitions(6, 3)
     b = enumerate_partitions(6, 3)
     assert a.partitions == b.partitions
+
+
+def _restricted_growth_partitions(n, K):
+    """Every partition of ``n`` players with blocks of at most ``K``, in
+    lexicographic order of restricted growth strings, each block built anew."""
+    out = []
+    for labels in itertools.product(range(n), repeat=n):
+        if any(b > max(labels[:t], default=-1) + 1 for t, b in enumerate(labels)):
+            continue
+        blocks = [[t for t, b in enumerate(labels) if b == k] for k in range(max(labels) + 1)]
+        if max(map(len, blocks)) <= K:
+            out.append(Partition(tuple(Coalition(tuple(b)) for b in blocks), n))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_enumeration_shares_one_coalition_per_distinct_block(n):
+    for K in range(2, n + 1):
+        fam = enumerate_partitions(n, K)
+        assert list(fam) == _restricted_growth_partitions(n, K)
+        blocks = [block for p in fam for block in p]
+        assert len({id(block) for block in blocks}) == len(set(blocks))
 
 
 def test_nesting_chain():

@@ -150,6 +150,7 @@ def test_reports_match_the_per_result_reference_on_every_bundled_spec(name):
     for mode in ("weak", "strict"):
         options = SolveOptions(mode=mode)
         result = cg.equilibria_across_k(family, options)
+        assert result.to_json() == json.dumps(result.to_dict())
         per_k = result.to_dict()["per_k"]
         assert [entry["K"] for entry in per_k] == list(range(1, spec.n + 1))
         for (_, game), k_report, entry in zip(family, result.per_k, per_k):
@@ -158,6 +159,7 @@ def test_reports_match_the_per_result_reference_on_every_bundled_spec(name):
             entries = report.to_dict()["equilibria"]
             expected = _reference_solve(game, options)
             _assert_matches(game, report.equilibria, entries, expected)
+            assert report.to_json() == json.dumps(report.to_dict())
             # The family solves the same game into the same table and entries.
             assert _columns(k_report.equilibria) == _columns(report.equilibria)
             assert entry["equilibria"] == entries
@@ -181,6 +183,7 @@ def test_reports_match_the_per_result_reference_on_small_games(game, mode, max_s
     report = cg.build_solve_report(game, options)
     expected = _reference_solve(game, options)
     _assert_matches(game, table, report.to_dict()["equilibria"], expected)
+    assert report.to_json() == json.dumps(report.to_dict())
 
 
 def _assert_distributions_aligned(game, table):
