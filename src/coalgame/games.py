@@ -531,6 +531,20 @@ def coalition_values(
     return {block: float(sum(vec[i] for i in block)) for block in partition}
 
 
+def _labels_for(
+    action_labels: Sequence[str] | Mapping[str, Sequence[str]], key: str
+) -> tuple[str, ...]:
+    """The action labels of the partition with canonical ``key``: its entry
+    of a per-partition mapping (else the ``"default"`` entry), or the one
+    shared list."""
+    if not isinstance(action_labels, Mapping):
+        return tuple(action_labels)
+    hit = action_labels.get(key, action_labels.get("default"))
+    if hit is None:
+        raise InvalidParameterError(f"no action set declared for partition {key}")
+    return tuple(hit)
+
+
 def make_game(
     players: Sequence[str],
     K: int,
@@ -555,19 +569,9 @@ def make_game(
     n = len(players)
     family = enumerate_partitions(n, K)
 
-    def labels_for(partition: Partition) -> tuple[str, ...]:
-        if isinstance(action_labels, Mapping):
-            hit = action_labels.get(partition.key, action_labels.get("default"))
-            if hit is None:
-                raise InvalidParameterError(
-                    f"no action set declared for partition {partition.key}"
-                )
-            return tuple(hit)
-        return tuple(action_labels)
-
     per_partition = tuple(
-        tuple(Action(i, label) for i, label in enumerate(labels_for(partition)))
-        for partition in family
+        tuple(Action(i, a) for i, a in enumerate(_labels_for(action_labels, p.key)))
+        for p in family
     )
     action_sets = tuple(per_partition for _ in range(n))
 
@@ -594,11 +598,13 @@ def make_game(
         if key in label_to_id:
             wide[key] = _as_finite_vector(vec, n, f"payoff for {raw_key}")
 
+    if default_payoff is None or np.size(default_payoff) == 0:
+        default_payoff = (0.0,) * n
     table = PayoffTable(
         n=n,
         exact=exact,
         partition_wide=wide,
-        default=_as_finite_vector(default_payoff or (0.0,) * n, n, "default payoff"),
+        default=_as_finite_vector(default_payoff, n, "default payoff"),
     )
 
     bonus = None

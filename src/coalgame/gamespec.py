@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Sequence
 
 from .errors import GameSpecError, InvalidParameterError
-from .games import RULES, Game, _bonus_vector, make_game
+from .games import RULES, Game, _bonus_vector, _labels_for, make_game
 from .partitions import enumerate_partitions, parse_partition
 
 _TOP_KEYS = {"name", "players", "K", "K_range", "rule", "actions", "payoffs",
@@ -225,11 +225,6 @@ def parse_spec(text: str) -> GameSpec:
             "$.actions",
         )
 
-    def labels_for(partition_key: str) -> tuple[str, ...]:
-        if isinstance(actions, dict):
-            return actions.get(partition_key, actions.get("default", ()))
-        return actions
-
     payoffs_raw = raw.get("payoffs")
     if not isinstance(payoffs_raw, list):
         raise _fail("payoffs must be a list of rows", "$.payoffs")
@@ -254,7 +249,7 @@ def parse_spec(text: str) -> GameSpec:
                 raise _fail(
                     f"actions must list one label per player ({n})", f"{loc}.actions"
                 )
-            available = labels_for(key)
+            available = _labels_for(actions, key)
             for i, label in enumerate(value):
                 if label not in available:
                     raise _fail(
@@ -306,7 +301,7 @@ def parse_spec(text: str) -> GameSpec:
     def row_sort_key(row: PayoffRow):
         ids: tuple[int, ...] = ()
         if row.action_labels is not None:
-            available = labels_for(row.partition_key)
+            available = _labels_for(actions, row.partition_key)
             ids = tuple(available.index(label) for label in row.action_labels)
         return (order[row.partition_key], row.action_labels is not None, ids)
 

@@ -3,8 +3,10 @@
 :func:`build_solve_report` (``solve``), :func:`build_validate_report`
 (``validate``) and :func:`equilibria_across_k` (``family``) each run the
 solvers or checks of one command and return its report. Every game is solved
-by :func:`_solve_game`. A report renders as text (``render_text``), as one
-line of JSON (``to_json``) or as the plain dict that line parses to
+by :func:`_solve_game`, and every solved game is reported by one
+:class:`SolveReport`: a family report is its per-K solve reports, and its
+K -> K+1 diffs derive from them. A report renders as text (``render_text``),
+as one line of JSON (``to_json``) or as the plain dict that line parses to
 (``to_dict``); ``to_json`` writes the bytes ``json.dumps(report.to_dict())``
 would. The equilibria lists are written by :func:`_equilibria_json`, which
 encodes each distinct row of a column once. Every reported profile can be
@@ -204,12 +206,24 @@ def _encode(value) -> str:
 
 @dataclass(frozen=True, eq=False)
 class SolveReport:
-    """Equilibria of one game plus notes; text, JSON and dict renderings."""
+    """Equilibria of one game plus notes; text, JSON and dict renderings.
+    ``error`` is set only on a family entry whose solve hit the budget, in
+    place of aborting the rest of the family."""
 
     game: Game
     options: SolveOptions
     equilibria: EquilibriumTable
     notes: tuple[str, ...] = ()
+    error: str | None = None
+
+    @property
+    def K(self) -> int:
+        return self.game.K
+
+    @cached_property
+    def partitions(self) -> tuple[Partition, ...]:
+        """The partitions the equilibria realize, in family order."""
+        return tuple(self.equilibria.partition_counts())
 
     def to_json(self) -> str:
         return _encode({
@@ -377,23 +391,6 @@ def build_validate_report(
     return ValidateReport(axioms=axioms, nesting=check_nesting(family))
 
 
-@dataclass(frozen=True, eq=False)
-class KReport:
-    """Solver output for one K: the table of validated equilibria;
-    ``error`` carries a budget failure instead of aborting the rest of the
-    family."""
-
-    K: int
-    equilibria: EquilibriumTable
-    error: str | None = None
-    notes: tuple[str, ...] = ()
-
-    @cached_property
-    def partitions(self) -> tuple[Partition, ...]:
-        """The partitions the equilibria realize, in family order."""
-        return tuple(self.equilibria.partition_counts())
-
-
 @dataclass(frozen=True)
 class KDiff:
     k_from: int
@@ -404,14 +401,27 @@ class KDiff:
 
 @dataclass(frozen=True, eq=False)
 class FamilyReport:
-    """Equilibria of every game in a family, per K, with the diffs of their
-    realized partitions between consecutive K."""
+    """The solve report of every game in a family, one per K; the diffs of
+    their realized partitions between consecutive K derive from them."""
 
     family: GameFamily
-    per_k: tuple[KReport, ...]
-    diffs: tuple[KDiff, ...]
+    per_k: tuple[SolveReport, ...]
 
-    def report_for(self, K: int) -> KReport:
+    @cached_property
+    def diffs(self) -> tuple[KDiff, ...]:
+        """One diff per consecutive pair of K, unless either side failed."""
+        return tuple(
+            KDiff(
+                a.K,
+                b.K,
+                tuple(p for p in b.partitions if p not in a.partitions),
+                tuple(p for p in a.partitions if p not in b.partitions),
+            )
+            for a, b in zip(self.per_k, self.per_k[1:])
+            if not (a.error or b.error)
+        )
+
+    def report_for(self, K: int) -> SolveReport:
         for entry in self.per_k:
             if entry.K == K:
                 return entry
@@ -428,9 +438,7 @@ class FamilyReport:
                     "notes": list(entry.notes),
                     "equilibrium_count": len(entry.equilibria),
                     "equilibrium_partitions": [p.key for p in entry.partitions],
-                    "equilibria": _Text(
-                        _equilibria_json(self.family[entry.K], entry.equilibria)
-                    ),
+                    "equilibria": _Text(_equilibria_json(entry.game, entry.equilibria)),
                 }
                 for entry in self.per_k
             ],
@@ -450,13 +458,13 @@ class FamilyReport:
 
     def render_text(self) -> str:
         lines = [f"family report: {self.family.base.name or '<unnamed>'}"]
-        players = self.family[self.family.k_values[0]].players
         for entry in self.per_k:
             if entry.error:
                 lines.append(f"K={entry.K}: ERROR {entry.error}")
                 continue
             parts = ", ".join(
-                f"{p.key} {pretty_partition(p, players)}" for p in entry.partitions
+                f"{p.key} {pretty_partition(p, entry.game.players)}"
+                for p in entry.partitions
             )
             lines.append(
                 f"K={entry.K}: {len(entry.equilibria)} equilibria; "
@@ -474,37 +482,23 @@ class FamilyReport:
         return "\n".join(lines)
 
 
-def _solve_one(game: Game, options: SolveOptions) -> KReport:
+def _solve_one(game: Game, options: SolveOptions) -> SolveReport:
+    """A family entry: the game's solve report, or the budget error that
+    stopped its solve beside an empty table."""
     try:
         equilibria, notes = _solve_game(game, options)
     except BudgetExceededError as exc:
-        return KReport(
-            K=game.K,
-            equilibria=EquilibriumTable.empty(game, options.mode),
-            error=str(exc),
-        )
-    return KReport(K=game.K, equilibria=equilibria, notes=tuple(notes))
+        empty = EquilibriumTable.empty(game, options.mode)
+        return SolveReport(game, options, empty, error=str(exc))
+    return SolveReport(game, options, equilibria, tuple(notes))
 
 
 def equilibria_across_k(
     family: GameFamily, options: SolveOptions | None = None
 ) -> FamilyReport:
-    """Solve every game in the family and diff the equilibrium-partition
-    supports between consecutive K. Budget failures are recorded per K and do
-    not abort the other games."""
+    """Solve every game in the family. Budget failures are recorded per K and
+    do not abort the other games."""
     options = options or SolveOptions()
-    per_k = tuple(_solve_one(game, options) for _, game in family)
-    diffs = []
-    for a, b in zip(per_k, per_k[1:]):
-        if a.error or b.error:
-            continue
-        set_a, set_b = set(a.partitions), set(b.partitions)
-        diffs.append(
-            KDiff(
-                k_from=a.K,
-                k_to=b.K,
-                partitions_gained=tuple(p for p in b.partitions if p not in set_a),
-                partitions_lost=tuple(p for p in a.partitions if p not in set_b),
-            )
-        )
-    return FamilyReport(family=family, per_k=per_k, diffs=tuple(diffs))
+    return FamilyReport(
+        family=family, per_k=tuple(_solve_one(game, options) for _, game in family)
+    )

@@ -505,6 +505,14 @@ _PURE_OUTPUT_DIGESTS = [
      "1fbef0c3fa4fd10bc902aacd8f733d394fbfe2b2223587c2c2f97593b1a0adce"),
     (("family", "dinner", "--k-min", "1", "--k-max", "4", "--format", "text"),
      "2a53eba0e5df8d307a9f7ab9fd30d2e45cc20ad8820521e654148506f4dfab73"),
+    # At this budget K = 2 skips the mixed search and K = 3 and 4 fail, so
+    # no diff follows K = 2.
+    (("family", "dinner", "--k-min", "1", "--k-max", "4", "--budget", "20000",
+      "--format", "json"),
+     "4ffd8d0fe46af99c26bd4e04d40a4b8b61f4d36e1c86a279c6c0f09ff560549d"),
+    (("family", "dinner", "--k-min", "1", "--k-max", "4", "--budget", "20000",
+      "--format", "text"),
+     "664c41f896b410ef3afef2672eb03e00c708838a4eb784899ad8f72a07f664af"),
     (("solve", "dinner", "--format", "json"),
      "2c9bc327ccb35657e9437c322f67b9a834a46738d6628349f5aec7f056ad242d"),
     (("validate", "dinner", "--format", "json"),

@@ -218,6 +218,7 @@ def test_non_numeric_payoff_entries_are_invalid_parameters():
     for build in (
         lambda: cg.make_game(["a", "b"], K=1, default_payoff=["x", 0]),
         lambda: cg.make_game(["a", "b"], K=1, default_payoff=[None, 0]),
+        lambda: cg.make_game(["a", "b"], K=1, default_payoff=np.array(5.0)),
         lambda: cg.make_game(["a", "b"], K=2, epsilon_partition="0,1", epsilon_bonus=[0, "x"]),
         lambda: cg.make_game(["a", "b"], K=1, partition_payoffs={"0|1": [0, None]}),
         lambda: cg.coalition_values(cg.parse_partition("0|1", 2), ["x", 1]),
@@ -574,6 +575,30 @@ def test_make_game_rejects_unknown_rule():
 def test_make_game_rejects_missing_action_set():
     with pytest.raises(cg.InvalidParameterError):
         cg.make_game(["a", "b"], K=2, action_labels={"0|1": ["x"]})
+
+
+def test_make_game_takes_arrays_wherever_it_takes_payoff_tuples():
+    def build(vector):
+        return cg.make_game(
+            ["x", "y", "z"],
+            K=3,
+            action_labels={"0,1,2": ("in", "out"), "default": ("solo",)},
+            exact_payoffs={("0,1,2", ("in", "in", "out")): vector([5, 5, -1])},
+            partition_payoffs={"0,1|2": vector([2, 2, 0])},
+            default_payoff=vector([0, 0.5, 0]),
+            epsilon_partition="0,1,2",
+            epsilon_bonus=vector([0.25, 0, 1]),
+        )
+
+    reference, game = build(tuple), build(np.array)
+    assert game.payoffs == reference.payoffs
+    assert game.epsilon == reference.epsilon
+    assert game.action_sets == reference.action_sets
+    assert np.array_equal(game.payoff_tensor, reference.payoff_tensor)
+    # No default, or an empty one, pays zero.
+    for empty in (None, (), np.array([])):
+        game = cg.make_game(["a", "b"], K=1, default_payoff=empty)
+        assert game.payoffs.default == (0.0, 0.0)
 
 
 def test_game_is_immutable(pd1):

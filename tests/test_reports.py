@@ -114,6 +114,36 @@ def _reference_dict(game, result):
     }
 
 
+def _assert_same(got, expected):
+    """``got == expected`` on strings or lists of up to tens of megabytes. A
+    failure names the first differing offset or index and shows the values
+    around it: pytest's own diff of values this large can run for minutes."""
+    if got == expected:
+        return
+    k = next(
+        (k for k, (a, b) in enumerate(zip(got, expected)) if a != b),
+        min(len(got), len(expected)),
+    )
+
+    def around(value):
+        part = value[max(k - 40, 0):k + 40] if isinstance(value, str) else value[k:k + 1]
+        return repr(part)[:300]
+
+    where = "offset" if isinstance(got, str) else "index"
+    pytest.fail(
+        f"first difference at {where} {k} (lengths {len(got)} and {len(expected)}): "
+        f"{around(got)} != {around(expected)}"
+    )
+
+
+def test_same_value_check_names_the_first_difference():
+    _assert_same("abc" * 10**6, "abc" * 10**6)
+    with pytest.raises(pytest.fail.Exception, match="offset 5 "):
+        _assert_same("abcdeXg", "abcdefg")
+    with pytest.raises(pytest.fail.Exception, match=r"index 2 \(lengths 2 and 3\)"):
+        _assert_same([1, 2], [1, 2, 3])
+
+
 def _assert_matches(game, table, entries, expected):
     """``table`` builds ``expected`` field by field, bit for bit, and
     ``entries`` (its report dicts) are their reference dicts."""
@@ -131,7 +161,7 @@ def _assert_matches(game, table, entries, expected):
         )
         assert type(r.max_regret) is float and type(r.strict) is bool
     reference = [_reference_dict(game, e) for e in expected]
-    assert json.dumps(entries) == json.dumps(reference)
+    _assert_same(json.dumps(entries), json.dumps(reference))
     assert json.loads(json.dumps(entries[:100])) == entries[:100]
 
 
@@ -150,7 +180,7 @@ def test_reports_match_the_per_result_reference_on_every_bundled_spec(name):
     for mode in ("weak", "strict"):
         options = SolveOptions(mode=mode)
         result = cg.equilibria_across_k(family, options)
-        assert result.to_json() == json.dumps(result.to_dict())
+        _assert_same(result.to_json(), json.dumps(result.to_dict()))
         per_k = result.to_dict()["per_k"]
         assert [entry["K"] for entry in per_k] == list(range(1, spec.n + 1))
         for (_, game), k_report, entry in zip(family, result.per_k, per_k):
@@ -159,10 +189,10 @@ def test_reports_match_the_per_result_reference_on_every_bundled_spec(name):
             entries = report.to_dict()["equilibria"]
             expected = _reference_solve(game, options)
             _assert_matches(game, report.equilibria, entries, expected)
-            assert report.to_json() == json.dumps(report.to_dict())
+            _assert_same(report.to_json(), json.dumps(report.to_dict()))
             # The family solves the same game into the same table and entries.
-            assert _columns(k_report.equilibria) == _columns(report.equilibria)
-            assert entry["equilibria"] == entries
+            _assert_same(_columns(k_report.equilibria), _columns(report.equilibria))
+            _assert_same(entry["equilibria"], entries)
             # Its partitions are those some reference result realizes above
             # 1e-9, counted per result, in family order.
             counts = {
@@ -183,7 +213,7 @@ def test_reports_match_the_per_result_reference_on_small_games(game, mode, max_s
     report = cg.build_solve_report(game, options)
     expected = _reference_solve(game, options)
     _assert_matches(game, table, report.to_dict()["equilibria"], expected)
-    assert report.to_json() == json.dumps(report.to_dict())
+    _assert_same(report.to_json(), json.dumps(report.to_dict()))
 
 
 def _assert_distributions_aligned(game, table):
