@@ -151,10 +151,19 @@ def _as_finite_vector(values: Sequence[float], n: int, what: str) -> tuple[float
     return vec
 
 
+def _shape(values, what: str) -> tuple[int, ...]:
+    """``np.shape(values)``; a ragged nested list has none and holds no
+    numbers."""
+    try:
+        return np.shape(values)
+    except ValueError:
+        raise InvalidParameterError(f"{what} must hold numbers, got {values!r}") from None
+
+
 def _bonus_vector(bonus: float | Sequence[float], n: int) -> tuple[float, ...]:
     """The per-player epsilon bonus: one number paid to every player, or a
     1-D sequence (list, tuple, array) of one number per player."""
-    shape = np.shape(bonus)
+    shape = _shape(bonus, "epsilon bonus")
     if len(shape) > 1:
         raise InvalidParameterError(
             f"epsilon bonus must be a number or a vector, got shape {shape}"
@@ -598,7 +607,7 @@ def make_game(
         if key in label_to_id:
             wide[key] = _as_finite_vector(vec, n, f"payoff for {raw_key}")
 
-    if default_payoff is None or np.size(default_payoff) == 0:
+    if default_payoff is None or 0 in _shape(default_payoff, "default payoff"):
         default_payoff = (0.0,) * n
     table = PayoffTable(
         n=n,

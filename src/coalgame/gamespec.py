@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Sequence
 
 from .errors import GameSpecError, InvalidParameterError
-from .games import RULES, Game, _bonus_vector, _labels_for, make_game
-from .partitions import enumerate_partitions, parse_partition
+from .games import RULES, EpsilonBonus, Game, _bonus_vector, _labels_for, make_game
+from .partitions import Partition, enumerate_partitions, parse_partition
 
 _TOP_KEYS = {"name", "players", "K", "K_range", "rule", "actions", "payoffs",
              "default_payoff", "epsilon"}
@@ -36,14 +36,6 @@ class PayoffRow:
 
 
 @dataclass(frozen=True)
-class EpsilonSpec:
-    """Per-player bonus paid when the named partition is realized."""
-
-    partition_key: str
-    bonus: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class GameSpec:
     """Validated, canonical description of a game (or a nested family of
     games over ``k_min..k_max``)."""
@@ -55,7 +47,7 @@ class GameSpec:
     actions: Any  # tuple[str, ...] shared, or dict[str, tuple[str, ...]]
     payoff_rows: tuple[PayoffRow, ...]
     default_payoff: tuple[float, ...]
-    epsilon: EpsilonSpec | None = None
+    epsilon: EpsilonBonus | None = None
     name: str = ""
 
     @property
@@ -73,7 +65,7 @@ class GameSpec:
                 "spec has no epsilon stanza; cannot override the bonus"
             )
         vec = _bonus_vector(bonus, self.n)
-        return dc_replace(self, epsilon=EpsilonSpec(self.epsilon.partition_key, vec))
+        return dc_replace(self, epsilon=dc_replace(self.epsilon, per_player=vec))
 
 
 def _fail(message: str, location: str) -> GameSpecError:
@@ -112,7 +104,7 @@ def _expect_labels(value: Any, location: str) -> tuple[str, ...]:
     return tuple(value)
 
 
-def _parse_partition_key(value: Any, n: int, k_max: int, location: str) -> str:
+def _parse_partition(value: Any, n: int, k_max: int, location: str) -> Partition:
     if not isinstance(value, str):
         raise _fail(f"expected a partition string, got {value!r}", location)
     try:
@@ -125,7 +117,7 @@ def _parse_partition_key(value: Any, n: int, k_max: int, location: str) -> str:
             f"{partition.max_block_size}, above the max coalition size {k_max}",
             location,
         )
-    return partition.key
+    return partition
 
 
 def parse_spec(text: str) -> GameSpec:
@@ -201,7 +193,7 @@ def parse_spec(text: str) -> GameSpec:
             canon = (
                 "default"
                 if key == "default"
-                else _parse_partition_key(key, n, k_max, loc)
+                else _parse_partition(key, n, k_max, loc).key
             )
             if canon in actions:
                 raise _fail(f"duplicate action set for {canon!r}", loc)
@@ -237,7 +229,7 @@ def parse_spec(text: str) -> GameSpec:
         unknown = set(row) - _ROW_KEYS
         if unknown:
             raise _fail(f"unknown keys {sorted(unknown)}", loc)
-        key = _parse_partition_key(row.get("partition"), n, k_max, f"{loc}.partition")
+        key = _parse_partition(row.get("partition"), n, k_max, f"{loc}.partition").key
         labels: tuple[str, ...] | None = None
         if "actions" in row:
             value = row["actions"]
@@ -283,7 +275,7 @@ def parse_spec(text: str) -> GameSpec:
         unknown = set(eps) - _EPS_KEYS
         if unknown:
             raise _fail(f"unknown keys {sorted(unknown)}", "$.epsilon")
-        key = _parse_partition_key(
+        partition = _parse_partition(
             eps.get("partition"), n, k_max, "$.epsilon.partition"
         )
         bonus_raw = eps.get("bonus")
@@ -291,7 +283,7 @@ def parse_spec(text: str) -> GameSpec:
             bonus = _expect_vector(bonus_raw, n, "$.epsilon.bonus")
         else:
             bonus = (_expect_number(bonus_raw, "$.epsilon.bonus"),) * n
-        epsilon = EpsilonSpec(partition_key=key, bonus=bonus)
+        epsilon = EpsilonBonus(partition, bonus)
 
     # Canonical row order: family position of the partition, then the action
     # ids, with partition-wide rows ahead of exact ones.
@@ -347,8 +339,8 @@ def serialize_spec(spec: GameSpec) -> str:
     obj["default_payoff"] = [_plain(v) for v in spec.default_payoff]
     if spec.epsilon is not None:
         obj["epsilon"] = {
-            "partition": spec.epsilon.partition_key,
-            "bonus": [_plain(v) for v in spec.epsilon.bonus],
+            "partition": spec.epsilon.partition.key,
+            "bonus": [_plain(v) for v in spec.epsilon.per_player],
         }
     return json.dumps(obj, indent=2) + "\n"
 
@@ -393,8 +385,8 @@ def build_game(
         partition_payoffs=wide,
         default_payoff=effective.default_payoff,
         epsilon_partition=(
-            effective.epsilon.partition_key if effective.epsilon else None
+            effective.epsilon.partition.key if effective.epsilon else None
         ),
-        epsilon_bonus=(effective.epsilon.bonus if effective.epsilon else 0.0),
+        epsilon_bonus=(effective.epsilon.per_player if effective.epsilon else 0.0),
         name=(effective.name or "game") + f"[K={K}]",
     )

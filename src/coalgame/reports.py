@@ -8,9 +8,12 @@ by :func:`_solve_game`, and every solved game is reported by one
 K -> K+1 diffs derive from them. A report renders as text (``render_text``),
 as one line of JSON (``to_json``) or as the plain dict that line parses to
 (``to_dict``); ``to_json`` writes the bytes ``json.dumps(report.to_dict())``
-would. The equilibria lists are written by :func:`_equilibria_json`, which
-encodes each distinct row of a column once. Every reported profile can be
-fed back through ``is_equilibrium``.
+would. Each report object is written from one %-template (a family report
+from one per K entry, between a head and a tail), as each entry of an
+equilibria list is; every slot takes ``json.dumps`` text except the
+equilibria lists, which :func:`_equilibria_json` writes by encoding each
+distinct row of a column once. Every reported profile can be fed back
+through ``is_equilibrium``.
 """
 
 from __future__ import annotations
@@ -123,9 +126,6 @@ def _equilibria_json(game: Game, table: EquilibriumTable) -> str:
     Rows repeat: each distinct profile row (with its support and labels),
     payoff row, distribution and ``max_regret`` is encoded once, by
     ``json.dumps``, and each entry is joined from those fragments."""
-    if not len(table):
-        return "[]"
-
     def fragments(unique: list, inverse: np.ndarray) -> list[str]:
         encoded = [json.dumps(value) for value in unique]
         return [encoded[k] for k in inverse.tolist()]
@@ -169,41 +169,6 @@ def _equilibria_json(game: Game, table: EquilibriumTable) -> str:
     return "[" + ", ".join([entry % row for row in zip(*columns)]) + "]"
 
 
-class _Text(str):
-    """JSON text that :func:`_encode` writes as it stands."""
-
-
-def _encode(value) -> str:
-    """``json.dumps(value)``, with each :class:`_Text` inside written
-    unchanged. Dicts (with string keys only) and lists are joined here, with
-    ``json.dumps``' default separators; every other value goes through
-    ``json.dumps``. The pieces are joined once, so a long ``_Text`` is
-    copied once, not once per level of nesting."""
-    pieces: list[str] = []
-
-    def add(value) -> None:
-        if isinstance(value, _Text):
-            pieces.append(value)
-        elif isinstance(value, dict):
-            pieces.append("{")
-            for k, (key, item) in enumerate(value.items()):
-                pieces.append(f"{', ' if k else ''}{json.dumps(key)}: ")
-                add(item)
-            pieces.append("}")
-        elif isinstance(value, list):
-            pieces.append("[")
-            for k, item in enumerate(value):
-                if k:
-                    pieces.append(", ")
-                add(item)
-            pieces.append("]")
-        else:
-            pieces.append(json.dumps(value))
-
-    add(value)
-    return "".join(pieces)
-
-
 @dataclass(frozen=True, eq=False)
 class SolveReport:
     """Equilibria of one game plus notes; text, JSON and dict renderings.
@@ -226,15 +191,17 @@ class SolveReport:
         return tuple(self.equilibria.partition_counts())
 
     def to_json(self) -> str:
-        return _encode({
-            "kind": "solve",
-            "game": game_summary(self.game),
-            "mode": self.options.mode,
-            "tol": self.options.tol,
-            "equilibrium_count": len(self.equilibria),
-            "equilibria": _Text(_equilibria_json(self.game, self.equilibria)),
-            "notes": list(self.notes),
-        })
+        return (
+            '{"kind": "solve", "game": %s, "mode": %s, "tol": %s, '
+            '"equilibrium_count": %s, "equilibria": %s, "notes": %s}'
+        ) % (
+            json.dumps(game_summary(self.game)),
+            json.dumps(self.options.mode),
+            json.dumps(self.options.tol),
+            json.dumps(len(self.equilibria)),
+            _equilibria_json(self.game, self.equilibria),
+            json.dumps(list(self.notes)),
+        )
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())
@@ -428,30 +395,28 @@ class FamilyReport:
         raise InvalidParameterError(f"no report for K={K}")
 
     def to_json(self) -> str:
-        return _encode({
-            "kind": "family",
-            "game": self.family.base.name,
-            "per_k": [
-                {
-                    "K": entry.K,
-                    "error": entry.error,
-                    "notes": list(entry.notes),
-                    "equilibrium_count": len(entry.equilibria),
-                    "equilibrium_partitions": [p.key for p in entry.partitions],
-                    "equilibria": _Text(_equilibria_json(entry.game, entry.equilibria)),
-                }
-                for entry in self.per_k
-            ],
-            "diffs": [
-                {
-                    "from_K": d.k_from,
-                    "to_K": d.k_to,
-                    "partitions_gained": [p.key for p in d.partitions_gained],
-                    "partitions_lost": [p.key for p in d.partitions_lost],
-                }
-                for d in self.diffs
-            ],
-        })
+        # Each entry's template stops at its equilibria list, so the one
+        # join is the only copy of that list.
+        entry = (
+            '{"K": %s, "error": %s, "notes": %s, "equilibrium_count": %s, '
+            '"equilibrium_partitions": %s, "equilibria": '
+        )
+        pieces = ['{"kind": "family", "game": %s, "per_k": [' % json.dumps(self.family.base.name)]
+        for k, r in enumerate(self.per_k):
+            values = (r.K, r.error, list(r.notes), len(r.equilibria), [p.key for p in r.partitions])
+            pieces += [", " if k else "", entry % tuple(map(json.dumps, values)),
+                       _equilibria_json(r.game, r.equilibria), "}"]
+        diffs = [
+            {
+                "from_K": d.k_from,
+                "to_K": d.k_to,
+                "partitions_gained": [p.key for p in d.partitions_gained],
+                "partitions_lost": [p.key for p in d.partitions_lost],
+            }
+            for d in self.diffs
+        ]
+        pieces.append('], "diffs": %s}' % json.dumps(diffs))
+        return "".join(pieces)
 
     def to_dict(self) -> dict:
         return json.loads(self.to_json())

@@ -527,6 +527,12 @@ _PURE_OUTPUT_DIGESTS = [
      "e280af4dd2a8879538420cc5c88f648d466bd8dca5ab6a4f3266f8c3f1793f7e"),
     (("validate", "pd", "--format", "json"),
      "e71c87ab7978ee7cb8c13c8bed05632083857d6b332d358f15e8ebf2d664dc8d"),
+    # The benchmark's dinner_family command.
+    (("family", "dinner", "--k-min", "1", "--k-max", "2", "--format", "json"),
+     "f1736dd7d37f1e5d1ed67b954be7e16fe8459bbced653ccfc3b355e36407f2d9"),
+    # No pure equilibrium and no mixed search: an empty list.
+    (("solve", "matching_pennies", "--max-support", "1", "--format", "json"),
+     "dc0b431164f74f790ab1cbf14ab791a379d399956e1f734646860f61a82a3b0f"),
 ]
 
 

@@ -222,6 +222,12 @@ def test_non_numeric_payoff_entries_are_invalid_parameters():
         lambda: cg.make_game(["a", "b"], K=2, epsilon_partition="0,1", epsilon_bonus=[0, "x"]),
         lambda: cg.make_game(["a", "b"], K=1, partition_payoffs={"0|1": [0, None]}),
         lambda: cg.coalition_values(cg.parse_partition("0|1", 2), ["x", 1]),
+        # Ragged nested lists, which numpy cannot make an array of.
+        lambda: cg.make_game(
+            ["a", "b"], K=2, epsilon_partition="0,1", epsilon_bonus=[[1], [2, 3]]
+        ),
+        lambda: cg.make_game(["a", "b"], K=2, default_payoff=[[1], [2, 3]]),
+        lambda: cg.bundled_spec("pd_extrovert").with_epsilon([[1], [2, 3]]),
     ):
         with pytest.raises(cg.InvalidParameterError, match="must hold numbers"):
             build()

@@ -23,7 +23,7 @@ def test_bundled_pd_spec_contents():
     assert (spec.k_min, spec.k_max) == (1, 2)
     assert len(spec.payoff_rows) == 8
     assert spec.epsilon is not None
-    assert spec.epsilon.bonus == (0.0, 0.0)
+    assert spec.epsilon.per_player == (0.0, 0.0)
 
 
 def test_bundled_specs_parse_and_build():
@@ -60,7 +60,7 @@ def test_parse_canonicalizes_partition_keys_and_row_order():
 
 def test_scalar_bonus_becomes_per_player_vector():
     spec = cg.bundled_spec("pd_extrovert")
-    assert spec.epsilon.bonus == (1.0, 1.0)
+    assert spec.epsilon.per_player == (1.0, 1.0)
 
 
 def test_epsilon_override():
@@ -77,7 +77,7 @@ def test_epsilon_bonus_is_a_number_or_any_1d_sequence():
         return cg.make_game(["x", "y"], K=2, epsilon_partition="0,1", epsilon_bonus=bonus)
 
     for bonus in ([0.5, 0.25], (0.5, 0.25), np.array([0.5, 0.25])):
-        assert spec.with_epsilon(bonus).epsilon.bonus == (0.5, 0.25)
+        assert spec.with_epsilon(bonus).epsilon.per_player == (0.5, 0.25)
         assert make(bonus).epsilon.per_player == (0.5, 0.25)
     assert make(np.float64(0.5)).epsilon.per_player == (0.5, 0.5)
     for bad in ([1.0], np.ones(3), np.ones((2, 2))):

@@ -1,4 +1,5 @@
-"""Each module owns one decision, and its imports say which: the family
+"""Each module owns one decision, and its imports say which: the modules
+form a stack in which each imports only from those above it, the family
 model and its nesting check know nothing of solving, and the solvers know
 nothing of families, specs, reports or the command line."""
 
@@ -42,3 +43,21 @@ def test_module_imports_respect_the_layering(module, forbidden):
     imported = _package_imports(module)
     assert "games" in imported
     assert not imported & forbidden
+
+
+#: The stack of README "Layout", top first.
+STACK = ["partitions", "games", "gamespec", "families", "solver", "reports", "cli"]
+
+
+@pytest.mark.parametrize("module", STACK)
+def test_each_module_imports_only_the_modules_above_it(module):
+    allowed = {"errors", *STACK[: STACK.index(module)]}
+    # The bundled specs stand to the side, below every module they import.
+    if _package_imports("builtin_games") <= allowed:
+        allowed.add("builtin_games")
+    assert _package_imports(module) <= allowed
+
+
+def test_errors_and_builtin_games_stand_to_the_side():
+    assert _package_imports("errors") == set()
+    assert _package_imports("builtin_games") <= {"errors", "games", "gamespec", "families"}

@@ -165,6 +165,22 @@ def _assert_matches(game, table, entries, expected):
     assert json.loads(json.dumps(entries[:100])) == entries[:100]
 
 
+def test_json_special_text_passes_through_the_writer_unchanged():
+    name = 'q"b\\s%s %d\né☃'
+    spec = replace(cg.bundled_spec("pd"), name=name)
+    report = cg.build_solve_report(cg.build_game(spec, 2))
+    _assert_same(report.to_json(), json.dumps(report.to_dict()))
+    assert report.to_dict()["game"]["name"] == name + "[K=2]"
+    family = cg.build_family(spec)
+    for options in (None, SolveOptions(budget=3)):
+        result = cg.equilibria_across_k(family, options)
+        _assert_same(result.to_json(), json.dumps(result.to_dict()))
+        assert result.to_dict()["game"] == name
+        # At budget 3 every K records its error string.
+        errors = [entry["error"] for entry in result.to_dict()["per_k"]]
+        assert all(errors) if options else not any(errors)
+
+
 def _columns(table):
     return [
         a.tobytes()
