@@ -44,10 +44,8 @@ from .partitions import (
     Coalition,
     Partition,
     PartitionFamily,
-    coalition_of,
     count_partitions,
     enumerate_partitions,
-    format_partition,
     is_nested,
     parse_partition,
 )
@@ -61,9 +59,7 @@ from .games import (
     PartitionStrategy,
     PartitionUnanimity,
     PayoffTable,
-    StrategyProfile,
     apply_formation_rule,
-    build_strategy_set,
     check_mechanism_axioms,
     coalition_values,
     induced_domain,
@@ -76,7 +72,6 @@ from .solver import (
     EquilibriumResult,
     EquilibriumTable,
     MixedProfile,
-    MixedStrategy,
     enumerate_pure_equilibria,
     equilibrium_partitions,
     expected_utility,
@@ -135,7 +130,6 @@ __all__ = [
     "InvalidParameterError",
     "MechanismAxiomReport",
     "MixedProfile",
-    "MixedStrategy",
     "NestingReport",
     "Partition",
     "PartitionFamily",
@@ -144,20 +138,17 @@ __all__ = [
     "PayoffTable",
     "SolveOptions",
     "SolveReport",
-    "StrategyProfile",
     "ValidateReport",
     "apply_formation_rule",
     "build_family",
     "build_game",
     "build_solve_report",
-    "build_strategy_set",
     "build_validate_report",
     "builtin_games",
     "bundled_spec",
     "bundled_spec_text",
     "check_mechanism_axioms",
     "check_nesting",
-    "coalition_of",
     "coalition_values",
     "count_partitions",
     "dinner_family",
@@ -168,7 +159,6 @@ __all__ = [
     "equilibrium_partitions",
     "expected_utility",
     "expected_utility_components",
-    "format_partition",
     "induced_domain",
     "is_equilibrium",
     "is_nested",

@@ -35,7 +35,7 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Action:
     """One local action, e.g. id=1 label="H"."""
 
@@ -55,23 +55,6 @@ class PartitionStrategy:
         return f"{self.action.label}@{self.desired.key}"
 
 
-@dataclass(frozen=True)
-class StrategyProfile:
-    """One announcement per player."""
-
-    choices: tuple[PartitionStrategy, ...]
-
-    @property
-    def n(self) -> int:
-        return len(self.choices)
-
-    def __iter__(self):
-        return iter(self.choices)
-
-    def __str__(self) -> str:
-        return "(" + ", ".join(str(c) for c in self.choices) + ")"
-
-
 class FormationRule:
     """Total deterministic map from announced partitions to a realized partition.
 
@@ -89,7 +72,7 @@ class FormationRule:
     def form(self, keys: Sequence[Hashable]) -> Partition:
         raise NotImplementedError
 
-    def realize(self, profile: StrategyProfile) -> Partition:
+    def realize(self, profile: Sequence[PartitionStrategy]) -> Partition:
         return self.form(tuple(self.key(c.desired, i) for i, c in enumerate(profile)))
 
     def __repr__(self) -> str:
@@ -282,15 +265,14 @@ class Game:
     def strategy_sets(self) -> tuple[tuple[PartitionStrategy, ...], ...]:
         """Per player: all (partition, action) pairs in (partition order,
         action id) order."""
-        sets = []
-        for i in range(self.n):
-            strategies = [
+        return tuple(
+            tuple(
                 PartitionStrategy(desired=partition, action=action)
-                for p, partition in enumerate(self.family)
-                for action in self.action_sets[i][p]
-            ]
-            sets.append(tuple(strategies))
-        return tuple(sets)
+                for partition, actions in zip(self.family, per_partition)
+                for action in actions
+            )
+            for per_partition in self.action_sets
+        )
 
     @cached_property
     def strategy_counts(self) -> tuple[int, ...]:
@@ -298,10 +280,7 @@ class Game:
 
     @cached_property
     def profile_count(self) -> int:
-        count = 1
-        for m in self.strategy_counts:
-            count *= m
-        return count
+        return math.prod(self.strategy_counts)
 
     @cached_property
     def _strategy_index(self) -> tuple[dict[PartitionStrategy, int], ...]:
@@ -318,19 +297,25 @@ class Game:
                 f"{strategy} is not a strategy of player {player}"
             ) from None
 
-    def profile_from_indices(self, indices: Sequence[int]) -> StrategyProfile:
-        return StrategyProfile(
-            tuple(self.strategy_sets[i][k] for i, k in enumerate(indices))
-        )
-
-    def indices_of_profile(self, profile: StrategyProfile) -> tuple[int, ...]:
-        if profile.n != self.n:
+    def _check_indices(self, indices: Sequence[int]) -> None:
+        """Raise unless ``indices`` holds one in-range index per player."""
+        counts = self.strategy_counts
+        if len(indices) != self.n or not all(k in range(m) for k, m in zip(indices, counts)):
             raise InvalidParameterError(
-                f"profile has {profile.n} entries, game has {self.n} players"
+                f"strategy indices {tuple(indices)} do not fit the strategy counts {counts}"
             )
-        return tuple(
-            self.strategy_index(i, choice) for i, choice in enumerate(profile)
-        )
+
+    def profile_from_indices(self, indices: Sequence[int]) -> tuple[PartitionStrategy, ...]:
+        """The pure profile (one strategy per player) at ``indices``."""
+        self._check_indices(indices)
+        return tuple(self.strategy_sets[i][k] for i, k in enumerate(indices))
+
+    def indices_of_profile(self, profile: Sequence[PartitionStrategy]) -> tuple[int, ...]:
+        if len(profile) != self.n:
+            raise InvalidParameterError(
+                f"profile has {len(profile)} entries, game has {self.n} players"
+            )
+        return tuple(self.strategy_index(i, c) for i, c in enumerate(profile))
 
     def _payoff_at(self, realized: Partition, action_ids: tuple[int, ...]) -> np.ndarray:
         """Table lookup, plus the bonus if the designated partition is realized."""
@@ -389,21 +374,13 @@ class Game:
         return out
 
 
-def build_strategy_set(game: Game, player: int) -> list[PartitionStrategy]:
-    """All (partition, action) pairs available to ``player``, in deterministic
-    (partition order, action id) order."""
-    if not 0 <= player < game.n:
-        raise InvalidParameterError(f"player {player} not in 0..{game.n - 1}")
-    return list(game.strategy_sets[player])
-
-
-def apply_formation_rule(game: Game, profile: StrategyProfile) -> Partition:
+def apply_formation_rule(game: Game, profile: Sequence[PartitionStrategy]) -> Partition:
     """Realized partition for one announced profile."""
     game.indices_of_profile(profile)  # validates membership
     return game.rule.realize(profile)
 
 
-def payoff(game: Game, profile: StrategyProfile) -> np.ndarray:
+def payoff(game: Game, profile: Sequence[PartitionStrategy]) -> np.ndarray:
     """Payoff vector for one announced profile: table lookup on the realized
     partition and action profile, plus the bonus if the designated partition
     was realized. Builds no tensor, so it serves games too big for one."""
@@ -413,7 +390,7 @@ def payoff(game: Game, profile: StrategyProfile) -> np.ndarray:
 
 def induced_domain(
     game: Game, partition: Partition, *, budget: int | None = None
-) -> list[StrategyProfile]:
+) -> list[tuple[PartitionStrategy, ...]]:
     """All pure profiles the rule maps to ``partition``, by exhaustive
     enumeration, in lexicographic profile order."""
     target = game.family.index_of(partition)

@@ -26,7 +26,7 @@ from .errors import BudgetExceededError, InvalidParameterError
 DEFAULT_BUDGET = 1_000_000
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class Coalition:
     """A nonempty group of players, stored sorted ascending."""
 
@@ -257,11 +257,6 @@ def enumerate_partitions(n: int, K: int) -> PartitionFamily:
     return PartitionFamily(n=n, K=K, partitions=tuple(out))
 
 
-def coalition_of(partition: Partition, player: int) -> Coalition:
-    """The unique block of ``partition`` containing ``player``."""
-    return partition.block_of(player)
-
-
 def is_nested(fam_small: PartitionFamily, fam_large: PartitionFamily) -> bool:
     """True iff every partition of ``fam_small`` appears in ``fam_large``."""
     if fam_small.n != fam_large.n:
@@ -269,12 +264,6 @@ def is_nested(fam_small: PartitionFamily, fam_large: PartitionFamily) -> bool:
             f"player counts differ: {fam_small.n} vs {fam_large.n}"
         )
     return all(p in fam_large for p in fam_small)
-
-
-def format_partition(partition: Partition) -> str:
-    """Canonical text form ``"0,1|2|3"`` (blocks by smallest member,
-    members ascending)."""
-    return partition.key
 
 
 def parse_partition(text: str, n: int) -> Partition:

@@ -30,13 +30,13 @@ from .games import Game, MechanismAxiomReport, check_mechanism_axioms
 from .partitions import Partition
 from .solver import (
     _LISTED_MASS,
-    _NORM_TOL,
     DEFAULT_TOL,
     EquilibriumTable,
     MixedProfile,
     _check_solve_args,
     _distinct,
     _pure_table,
+    _support,
     _support_table,
 )
 
@@ -134,7 +134,7 @@ def _equilibria_json(game: Game, table: EquilibriumTable) -> str:
     profiles, supports, labels = [], [], []
     for strategies, rows in zip(game.strategy_sets, table.profiles):
         unique, inverse = _unique_rows(rows)
-        support = [np.flatnonzero(row > _NORM_TOL).tolist() for row in unique]
+        support = [_support(row) for row in unique]
         profiles.append(fragments(unique.tolist(), inverse))
         supports.append(fragments(support, inverse))
         labels.append(

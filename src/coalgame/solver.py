@@ -40,7 +40,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import InternalInconsistencyError, InvalidParameterError
-from .games import Game, StrategyProfile, _check_addressable, _check_budget
+from .games import Game, PartitionStrategy, _check_addressable, _check_budget
 from .partitions import Partition, PartitionFamily
 
 DEFAULT_TOL = 1e-9
@@ -89,56 +89,52 @@ def _normalized(probabilities) -> np.ndarray:
     return probs / total
 
 
-@dataclass(frozen=True, eq=False)
-class MixedStrategy:
-    """A probability vector over one player's strategy list (normalized on
-    construction; entries finite and nonnegative, sum within 1e-12 of one)."""
-
-    probabilities: np.ndarray
-
-    def __post_init__(self):
-        probs = _normalized(self.probabilities)
-        probs.flags.writeable = False
-        object.__setattr__(self, "probabilities", probs)
-
-    @classmethod
-    def _of(cls, probabilities: np.ndarray) -> "MixedStrategy":
-        """Wrap a read-only vector ``_normalized`` returned as it is: a
-        second normalization may move its last bits."""
-        strategy = object.__new__(cls)
-        object.__setattr__(strategy, "probabilities", probabilities)
-        return strategy
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(int(k) for k in np.nonzero(self.probabilities > _NORM_TOL)[0])
+def _support(probabilities: np.ndarray) -> tuple[int, ...]:
+    """Indices of the strategies played with probability above ``_NORM_TOL``."""
+    return tuple(np.flatnonzero(probabilities > _NORM_TOL).tolist())
 
 
 @dataclass(frozen=True, eq=False)
 class MixedProfile:
-    """One mixed strategy per player."""
+    """One mixed strategy per player: a probability vector over the player's
+    strategy list, normalized on construction (entries finite and
+    nonnegative, sum within 1e-12 of one) and read-only."""
 
-    strategies: tuple[MixedStrategy, ...]
+    probabilities: tuple[np.ndarray, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "probabilities", tuple(map(_normalized, self.probabilities)))
+        for probs in self.probabilities:
+            probs.flags.writeable = False
+
+    @classmethod
+    def _of(cls, probabilities: tuple[np.ndarray, ...]) -> "MixedProfile":
+        """Wrap read-only vectors ``_normalized`` returned as they are: a
+        second normalization may move their last bits."""
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "probabilities", probabilities)
+        return profile
 
     @property
     def n(self) -> int:
-        return len(self.strategies)
+        return len(self.probabilities)
 
     def vectors(self) -> list[np.ndarray]:
-        return [s.probabilities for s in self.strategies]
+        return list(self.probabilities)
 
     @staticmethod
     def from_vectors(vectors: Iterable[Sequence[float]]) -> "MixedProfile":
-        return MixedProfile(tuple(MixedStrategy(np.asarray(v)) for v in vectors))
+        return MixedProfile(tuple(vectors))
 
     @staticmethod
     def pure(game: Game, indices: Sequence[int]) -> "MixedProfile":
+        game._check_indices(indices)
         return MixedProfile.from_vectors(
             _embed(m, (k,), 1.0) for m, k in zip(game.strategy_counts, indices)
         )
 
     @staticmethod
-    def from_profile(game: Game, profile: StrategyProfile) -> "MixedProfile":
+    def from_profile(game: Game, profile: Sequence[PartitionStrategy]) -> "MixedProfile":
         return MixedProfile.pure(game, game.indices_of_profile(profile))
 
     @staticmethod
@@ -180,7 +176,7 @@ class EquilibriumTable(Sequence[EquilibriumResult]):
     :class:`EquilibriumResult`; a slice, ``take`` and ``concat`` give tables.
 
     ``profiles[i]`` holds player i's strategy vectors, one row per
-    equilibrium, as :class:`MixedStrategy` holds them after normalization.
+    equilibrium, as :class:`MixedProfile` holds them after normalization.
     ``distributions[e, p]`` is the probability that row e realizes
     ``family[p]``. Every array is read-only and indexed by row.
     """
@@ -215,14 +211,14 @@ class EquilibriumTable(Sequence[EquilibriumResult]):
         row = range(len(self))[key]
         weights = self.distributions[row]
         listed = np.flatnonzero(weights > _LISTED_MASS).tolist()
-        strategies = tuple(MixedStrategy._of(p[row]) for p in self.profiles)
+        vectors = tuple(p[row] for p in self.profiles)
         return EquilibriumResult(
-            profile=MixedProfile(strategies),
+            profile=MixedProfile._of(vectors),
             mode=self.mode,
             payoffs=self.payoffs[row].copy(),
             partition_distribution={self.family[p]: float(weights[p]) for p in listed},
             max_regret=float(self.max_regret[row]),
-            support=tuple(s.support for s in strategies),
+            support=tuple(map(_support, vectors)),
             strict=bool(self.strict[row]),
             degenerate=bool(self.degenerate[row]),
         )
@@ -268,15 +264,12 @@ def _sigmas(game: Game, profile: MixedProfile) -> list[np.ndarray]:
         raise InvalidParameterError(
             f"profile has {profile.n} strategies, game has {game.n} players"
         )
-    out = []
-    for i, strategy in enumerate(profile.strategies):
-        if strategy.probabilities.size != game.strategy_counts[i]:
+    for i, (probs, m) in enumerate(zip(profile.probabilities, game.strategy_counts)):
+        if probs.size != m:
             raise InvalidParameterError(
-                f"player {i}: mixed strategy length "
-                f"{strategy.probabilities.size} != {game.strategy_counts[i]}"
+                f"player {i}: mixed strategy length {probs.size} != {m}"
             )
-        out.append(strategy.probabilities)
-    return out
+    return profile.vectors()
 
 
 def _prob_tensor(sigmas: Sequence[np.ndarray]) -> np.ndarray:
@@ -908,7 +901,7 @@ def _support_table(
     # Combinations in ``itertools.product`` order, each one's candidates in
     # start order (the sort is stable); a flat index could overflow intp.
     order = np.lexsort(positions.T[::-1])
-    # Normalized again, as ``MixedStrategy`` is: row sums need not be one.
+    # Normalized again, as ``MixedProfile`` is: row sums need not be one.
     sigmas = [(v / v.sum(axis=1, keepdims=True))[order] for v in vectors]
     payoffs, max_regret, strict = _regret_and_strict(game.payoff_tensor, sigmas, tol)
     accepted = np.flatnonzero(max_regret <= tol)

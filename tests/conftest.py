@@ -40,8 +40,9 @@ def find_strategy(game, player, partition_key, action_label=None):
 
 
 def pure_profile(game, *announcements):
-    """StrategyProfile from per-player (partition_key, action_label) pairs;
-    a bare string means the partition with the only action."""
+    """Pure profile (a tuple of strategies) from per-player (partition_key,
+    action_label) pairs; a bare string means the partition with the only
+    action."""
     indices = []
     for i, ann in enumerate(announcements):
         if isinstance(ann, str):

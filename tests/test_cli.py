@@ -533,6 +533,15 @@ _PURE_OUTPUT_DIGESTS = [
     # No pure equilibrium and no mixed search: an empty list.
     (("solve", "matching_pennies", "--max-support", "1", "--format", "json"),
      "dc0b431164f74f790ab1cbf14ab791a379d399956e1f734646860f61a82a3b0f"),
+    # Text renderings: strategy labels, pretty partitions and profiles.
+    (("solve", "dinner", "--format", "text"),
+     "62a2dc855ca9eabf7788dec83d4650056f637c7426a84fc43d679a611ea4e15b"),
+    (("solve", "pd_extrovert", "--format", "text"),
+     "1440e9a4ab7a5e2d2e22cee97d4edb41971f223b76e030fd770149262f60cc2b"),
+    (("validate", "dinner", "--format", "text"),
+     "e51bb873a9ac8b5ab239df8a471254186913a3c4dd8e468bd3d7bdf57b81fe22"),
+    (("solve", "pd", "--K", "1", "--format", "text"),
+     "72056839477e0d179e8c4f10e91a1cb99eaf5ca658d398dee0413c8108417be9"),
 ]
 
 
@@ -542,5 +551,21 @@ _PURE_OUTPUT_DIGESTS = [
 def test_pure_outputs_keep_their_bytes(spec_dir, argv, digest):
     command, name, *flags = argv
     code, out, err = _run(command, str(spec_dir / f"{name}.spec"), *flags)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_PARTITION_LISTING_DIGESTS = [
+    (("5", "2"), "a45ea49939bce72afb23211a178e1161d08ab8c150b4104f7570cd2dbd084609"),
+    (("6", "3"), "4defe7019891e2cbe6c45c247eaa4884caa8cd5555724ac12a5ad73295057bed"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _PARTITION_LISTING_DIGESTS,
+    ids=[" ".join(a) for a, _ in _PARTITION_LISTING_DIGESTS],
+)
+def test_partition_listing_keeps_its_bytes(argv, digest):
+    code, out, err = _run("partitions", *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest

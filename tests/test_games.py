@@ -19,22 +19,27 @@ def test_pd_strategy_counts(pd1, pd2):
 
 def test_dinner_strategy_count(dinner):
     for i in range(4):
-        strategies = cg.build_strategy_set(dinner, i)
+        strategies = dinner.strategy_sets[i]
         assert len(strategies) == 10
         assert len(set(strategies)) == 10
 
 
 def test_strategy_sets_are_nested_sublists(pd1, pd2):
     for i in range(2):
-        small = cg.build_strategy_set(pd1, i)
-        large = cg.build_strategy_set(pd2, i)
+        small = pd1.strategy_sets[i]
+        large = pd2.strategy_sets[i]
         it = iter(large)
         assert all(s in it for s in small)  # subsequence, order preserved
 
 
-def test_build_strategy_set_rejects_bad_player(pd1):
+@pytest.mark.parametrize("indices", [(-1, 0), (9, 0), (0,)])
+def test_strategy_indices_must_fit_the_game(pd2, indices):
+    # One index per player, each within its strategy list: a negative index
+    # would silently pick from the end of the list.
     with pytest.raises(cg.InvalidParameterError):
-        cg.build_strategy_set(pd1, 2)
+        pd2.profile_from_indices(indices)
+    with pytest.raises(cg.InvalidParameterError):
+        cg.MixedProfile.pure(pd2, indices)
 
 
 # --- formation rules --------------------------------------------------------

@@ -7,10 +7,8 @@ from coalgame import (
     Coalition,
     InvalidParameterError,
     Partition,
-    coalition_of,
     count_partitions,
     enumerate_partitions,
-    format_partition,
     is_nested,
     parse_partition,
 )
@@ -127,18 +125,18 @@ def test_count_rejects_bad_parameters():
         count_partitions(3, 4)
 
 
-def test_coalition_of_reads_off_the_block():
+def test_block_of_reads_off_the_block():
     p = parse_partition("0,1|2|3", 4)
-    assert coalition_of(p, 0) == Coalition((0, 1))
-    assert coalition_of(parse_partition("0,1", 2), 1) == Coalition((0, 1))
-    assert coalition_of(parse_partition("0|1", 2), 0) == Coalition((0,))
+    assert p.block_of(0) == Coalition((0, 1))
+    assert parse_partition("0,1", 2).block_of(1) == Coalition((0, 1))
+    assert parse_partition("0|1", 2).block_of(0) == Coalition((0,))
     with pytest.raises(InvalidParameterError):
-        coalition_of(p, 4)
+        p.block_of(4)
 
 
 def test_partition_string_round_trip():
     for p in enumerate_partitions(5, 3):
-        assert parse_partition(format_partition(p), 5) == p
+        assert parse_partition(p.key, 5) == p
 
 
 def test_parse_partition_canonicalizes_order():

@@ -32,9 +32,7 @@ def _reference_pure(game, mode, tol):
     regret, weak, strict = solver._pure_regret_arrays(game, tol)
     mask = weak if mode == "weak" else strict
     # One point mass per (player, strategy), shared by the results.
-    point_masses = [
-        [cg.MixedStrategy(np.eye(m)[k]) for k in range(m)] for m in game.strategy_counts
-    ]
+    point_masses = [np.eye(m) for m in game.strategy_counts]
     return [
         cg.EquilibriumResult(
             profile=cg.MixedProfile(tuple(point_masses[i][k] for i, k in enumerate(cell))),
@@ -71,7 +69,7 @@ def _reference_mixed(game, max_support, tol):
             payoffs=eu[0],
             partition_distribution=cg.equilibrium_partitions(game, profile),
             max_regret=float(max_regret[0]),
-            support=tuple(s.support for s in profile.strategies),
+            support=tuple(map(solver._support, profile.probabilities)),
             strict=bool(strict[0]),
             degenerate=degenerate,
         ))
@@ -264,4 +262,4 @@ def test_table_indexing_and_slices(pd2):
         ]
     assert not table.payoffs.flags.writeable
     assert not table.distributions.flags.writeable
-    assert not table[0].profile.strategies[0].probabilities.flags.writeable
+    assert not table[0].profile.probabilities[0].flags.writeable

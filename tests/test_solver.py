@@ -184,10 +184,10 @@ def test_is_equilibrium_rejects_bad_arguments(pd1):
 
 def test_mixed_strategy_normalizes_and_validates():
     for big in (2.0, 1e308):  # 2e308 overflows the sum
-        s = cg.MixedStrategy(np.array([big, big]))
-        assert s.probabilities.tolist() == [0.5, 0.5]
+        profile = cg.MixedProfile.from_vectors([np.array([big, big])])
+        assert profile.probabilities[0].tolist() == [0.5, 0.5]
     with pytest.raises(cg.InvalidParameterError):
-        cg.MixedStrategy(np.array([0.5, -0.5]))
+        cg.MixedProfile.from_vectors([np.array([0.5, -0.5])])
 
 
 def test_non_finite_probabilities_are_rejected():
@@ -565,7 +565,7 @@ def _per_pair_support_enumeration(
             payoffs=eu[0],
             partition_distribution=cg.equilibrium_partitions(game, profile),
             max_regret=float(max_regret[0]),
-            support=tuple(s.support for s in profile.strategies),
+            support=tuple(map(solver._support, profile.probabilities)),
             strict=bool(strict[0]),
             degenerate=degenerate,
         ))
