@@ -300,7 +300,7 @@ class Game:
     def _check_indices(self, indices: Sequence[int]) -> None:
         """Raise unless ``indices`` holds one in-range index per player."""
         counts = self.strategy_counts
-        if len(indices) != self.n or not all(k in range(m) for k, m in zip(indices, counts)):
+        if len(indices) != self.n or not all(0 <= k < m for k, m in zip(indices, counts)):
             raise InvalidParameterError(
                 f"strategy indices {tuple(indices)} do not fit the strategy counts {counts}"
             )

@@ -32,7 +32,7 @@ def test_strategy_sets_are_nested_sublists(pd1, pd2):
         assert all(s in it for s in small)  # subsequence, order preserved
 
 
-@pytest.mark.parametrize("indices", [(-1, 0), (9, 0), (0,)])
+@pytest.mark.parametrize("indices", [(-1, 0), (9, 0), (np.int64(9), 0), (0,)])
 def test_strategy_indices_must_fit_the_game(pd2, indices):
     # One index per player, each within its strategy list: a negative index
     # would silently pick from the end of the list.

@@ -4,13 +4,13 @@ report every difference in stdout, stderr or exit code.
     python tools/compare_outputs.py --against HEAD~1
 
 The other revision is extracted with ``git archive`` into a temporary
-directory. Each tree runs the whole corpus (``tools/corpus.txt`` unless
-``--corpus`` names another file) in one child process, in-process through
-``coalgame.cli.run_cli``, on the same spec files: the bundled specs and the
-benchmark's generated ones are written once, from this checkout. One line is
-printed per command; when a JSON output differs, the line also gives the
-largest absolute difference between the numbers at the same place, or says
-that the structures differ. Exits 1 on any difference.
+directory. Each tree runs the whole corpus, ``tools/corpus.txt``, in one
+child process, in-process through ``coalgame.cli.run_cli``, on the same spec
+files: the bundled specs and the benchmark's generated ones are written once,
+from this checkout. One line is printed per command; when a JSON output
+differs, the line also gives the largest absolute difference between the
+numbers at the same place, or says that the structures differ. Exits 1 on any
+difference.
 """
 
 from __future__ import annotations
@@ -107,16 +107,17 @@ def describe(ours: str, theirs: str) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, help="git revision to compare with")
-    parser.add_argument("--corpus", type=Path, default=ROOT / "tools" / "corpus.txt")
     args = parser.parse_args()
-    corpus = read_corpus(args.corpus)
+    corpus = read_corpus(ROOT / "tools" / "corpus.txt")
     with tempfile.TemporaryDirectory(prefix="compare_outputs_") as tmp:
         tmp = Path(tmp)
         archive = subprocess.run(
             ["git", "archive", args.against], cwd=ROOT, capture_output=True, check=True
         ).stdout
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
-            tar.extractall(tmp / "against", filter="data")
+            # The "data" filter exists from Python 3.12 and in 3.10.12 and 3.11.4.
+            safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+            tar.extractall(tmp / "against", **safe)
         (tmp / "specs").mkdir()
         paths = write_specs(corpus, tmp / "specs")
         commands = tmp / "commands.json"
