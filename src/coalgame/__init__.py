@@ -52,7 +52,6 @@ from .partitions import (
 from .games import (
     Action,
     CoalitionUnanimity,
-    EpsilonBonus,
     FormationRule,
     Game,
     MechanismAxiomReport,
@@ -80,7 +79,7 @@ from .solver import (
     support_enumeration,
 )
 from .families import GameFamily, NestingReport, build_family, check_nesting
-from .gamespec import GameSpec, build_game, parse_spec, serialize_spec
+from .gamespec import EpsilonBonus, GameSpec, build_game, parse_spec, serialize_spec
 from .builtin_games import (
     BUNDLED_SPECS,
     builtin_games,

@@ -43,14 +43,19 @@ def dinner_family(k_lo: int = 2, k_hi: int = 4) -> GameFamily:
     return build_family(bundled_spec("dinner"), (k_lo, k_hi))
 
 
+def _pd_spec(epsilon: float | None) -> GameSpec:
+    spec = bundled_spec("pd")
+    return spec if epsilon is None else spec.with_epsilon(epsilon)
+
+
 def pd_game(K: int = 2, epsilon: float | None = None) -> Game:
     """The 2-player high/low game; ``epsilon`` overrides the joint-coalition
     bonus (the bundled spec ships with bonus 0)."""
-    return build_game(bundled_spec("pd"), K, epsilon_bonus=epsilon)
+    return build_game(_pd_spec(epsilon), K)
 
 
 def pd_family(epsilon: float | None = None) -> GameFamily:
-    return build_family(bundled_spec("pd"), epsilon_bonus=epsilon)
+    return build_family(_pd_spec(epsilon))
 
 
 def pd_extrovert_game(K: int = 2) -> Game:

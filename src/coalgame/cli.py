@@ -11,6 +11,7 @@ input/spec, 3 budget exceeded, 4 internal inconsistency.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json  # noqa: F401 -- bench/trace_child.py replaces cli.json to time dumps
 import sys
 from pathlib import Path
@@ -104,12 +105,14 @@ def _options_from(args: argparse.Namespace) -> SolveOptions:
     )
 
 
-def _read_spec(path: Path):
+def _read_spec(path: Path, epsilon: float | None = None):
+    """The spec at ``path``; ``epsilon`` overrides its bonus magnitude."""
     try:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise GameSpecError(f"cannot read spec file: {exc}", location=str(path))
-    return parse_spec(text)
+    spec = parse_spec(text)
+    return spec if epsilon is None else spec.with_epsilon(epsilon)
 
 
 def _emit(args: argparse.Namespace, report, out) -> None:
@@ -138,21 +141,20 @@ def _cmd_validate(args: argparse.Namespace, out) -> int:
 
 
 def _cmd_solve(args: argparse.Namespace, out) -> int:
-    spec = _read_spec(args.spec)
-    game = build_game(spec, args.K, epsilon_bonus=args.epsilon)
+    game = build_game(_read_spec(args.spec, args.epsilon), args.K)
     report = build_solve_report(game, _options_from(args))
     _emit(args, report, out)
     return EXIT_OK
 
 
 def _cmd_family(args: argparse.Namespace, out) -> int:
-    spec = _read_spec(args.spec)
+    spec = _read_spec(args.spec, args.epsilon)
     k_range = None
     if args.k_min is not None or args.k_max is not None:
         lo = args.k_min if args.k_min is not None else spec.k_min
         hi = args.k_max if args.k_max is not None else spec.k_max
         k_range = (lo, hi)
-    family = build_family(spec, k_range, epsilon_bonus=args.epsilon)
+    family = build_family(spec, k_range)
     report = equilibria_across_k(family, _options_from(args))
     _emit(args, report, out)
     return EXIT_OK
@@ -196,7 +198,8 @@ def run_cli(argv: list[str] | None = None, out=None, err=None) -> int:
     err = err if err is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

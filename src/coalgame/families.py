@@ -10,7 +10,7 @@ derivation. Solving the family is the job of :mod:`coalgame.reports`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -65,12 +65,7 @@ class GameFamily:
         return len(self.games)
 
 
-def build_family(
-    spec: GameSpec,
-    k_range: tuple[int, int] | None = None,
-    *,
-    epsilon_bonus: float | Sequence[float] | None = None,
-) -> GameFamily:
+def build_family(spec: GameSpec, k_range: tuple[int, int] | None = None) -> GameFamily:
     """Construct the game for every K in ``k_range`` (default: the spec's
     own range) by restricting the spec to P(K)."""
     lo, hi = k_range if k_range is not None else (spec.k_min, spec.k_max)
@@ -78,9 +73,7 @@ def build_family(
         raise InvalidParameterError(
             f"need 1 <= K_min <= K_max <= {spec.n}, got {lo}..{hi}"
         )
-    games = {
-        k: build_game(spec, k, epsilon_bonus=epsilon_bonus) for k in range(lo, hi + 1)
-    }
+    games = {k: build_game(spec, k) for k in range(lo, hi + 1)}
     return GameFamily(base=spec, games=games)
 
 

@@ -4,8 +4,9 @@ mechanism-axiom checker.
 A strategy is a (desired partition, local action) pair. A formation rule is a
 total deterministic map from announced partitions to one realized partition;
 payoffs are looked up per (realized partition, action profile) with an
-explicit default vector for unlisted combinations, plus an optional
-per-player bonus paid when a designated partition is realized.
+explicit default vector for unlisted combinations. An optional per-player
+bonus paid when a designated partition is realized is folded into that
+partition's payoffs when the game is built.
 
 ``Game`` is immutable after construction; the derived arrays (realized
 partition index per profile, payoff tensor) are computed lazily once, as
@@ -160,7 +161,7 @@ class PayoffTable:
 
     Lookup order: exact (partition, actions) entry, then a partition-wide
     entry covering all action profiles, then ``default``. All stored values
-    are finite.
+    are finite; ``make_game`` stores a bonus already added in.
     """
 
     n: int
@@ -198,14 +199,6 @@ class PayoffTable:
         )
 
 
-@dataclass(frozen=True)
-class EpsilonBonus:
-    """Additive per-player bonus paid whenever ``partition`` is realized."""
-
-    partition: Partition
-    per_player: tuple[float, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class Game:
     """A coalition-structure formation game over P(K).
@@ -221,7 +214,6 @@ class Game:
     action_sets: tuple[tuple[tuple[Action, ...], ...], ...]
     rule: FormationRule
     payoffs: PayoffTable
-    epsilon: EpsilonBonus | None = None
     name: str = ""
 
     def __post_init__(self):
@@ -250,12 +242,6 @@ class Game:
                     )
         if self.payoffs.n != n:
             raise InvalidParameterError("payoff table has the wrong player count")
-        if self.epsilon is not None:
-            _as_finite_vector(self.epsilon.per_player, n, "epsilon bonus")
-            if self.epsilon.partition not in self.family:
-                raise InvalidParameterError(
-                    f"epsilon partition {self.epsilon.partition} is not in P(K)"
-                )
 
     @property
     def n(self) -> int:
@@ -317,18 +303,11 @@ class Game:
             )
         return tuple(self.strategy_index(i, c) for i, c in enumerate(profile))
 
-    def _payoff_at(self, realized: Partition, action_ids: tuple[int, ...]) -> np.ndarray:
-        """Table lookup, plus the bonus if the designated partition is realized."""
-        vec = np.array(self.payoffs.lookup(realized.key, action_ids), dtype=np.float64)
-        if self.epsilon is not None and realized == self.epsilon.partition:
-            vec += self.epsilon.per_player
-        return vec
-
     @cached_property
     def _cell_grid(self) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
         """Each player's strategies grouped into cells by (rule key, action id).
 
-        ``rule.form`` runs once per key combination and ``_payoff_at`` once
+        ``rule.form`` runs once per key combination and ``payoffs.lookup`` once
         per cell combination. Returns the realized index and the payoff per
         cell combination, and the ``np.ix_`` index expanding both to profiles.
         """
@@ -342,7 +321,9 @@ class Game:
         grid = [tuple(zip(*c)) for c in itertools.product(*cells)]
         lookup = self.family._index
         realized = np.array([lookup.get(formed[ks], -1) for ks, _ in grid], dtype=np.int32)
-        payoffs = np.array([self._payoff_at(formed[ks], ids) for ks, ids in grid])
+        payoffs = np.array(
+            [self.payoffs.lookup(formed[ks].key, ids) for ks, ids in grid], dtype=np.float64
+        )
         shape = [len(c) for c in cells]
         expand = np.ix_(*([c[cell] for cell in o] for c, o in zip(cells, own)))
         return realized.reshape(shape), payoffs.reshape(shape + [self.n]), expand
@@ -382,10 +363,11 @@ def apply_formation_rule(game: Game, profile: Sequence[PartitionStrategy]) -> Pa
 
 def payoff(game: Game, profile: Sequence[PartitionStrategy]) -> np.ndarray:
     """Payoff vector for one announced profile: table lookup on the realized
-    partition and action profile, plus the bonus if the designated partition
-    was realized. Builds no tensor, so it serves games too big for one."""
+    partition and action profile. Builds no tensor, so it serves games too big
+    for one."""
     actions = tuple(choice.action.id for choice in profile)
-    return game._payoff_at(apply_formation_rule(game, profile), actions)
+    realized = apply_formation_rule(game, profile)
+    return np.array(game.payoffs.lookup(realized.key, actions), dtype=np.float64)
 
 
 def induced_domain(
@@ -548,8 +530,10 @@ def make_game(
 
     ``action_labels`` is either one shared list or a mapping from canonical
     partition key (or ``"default"``) to a list; payoff keys use canonical
-    partition strings and action labels. This is the programmatic counterpart
-    of the spec-file format.
+    partition strings and action labels. ``epsilon_bonus`` (one number, or
+    one per player) is added to every payoff of ``epsilon_partition`` when
+    that partition is in P(K). This is the programmatic counterpart of the
+    spec-file format.
     """
     players = tuple(players)
     n = len(players)
@@ -586,18 +570,16 @@ def make_game(
 
     if default_payoff is None or 0 in _shape(default_payoff, "default payoff"):
         default_payoff = (0.0,) * n
-    table = PayoffTable(
-        n=n,
-        exact=exact,
-        partition_wide=wide,
-        default=_as_finite_vector(default_payoff, n, "default payoff"),
-    )
-
-    bonus = None
+    default = _as_finite_vector(default_payoff, n, "default payoff")
     if epsilon_partition is not None:
-        target = parse_partition(epsilon_partition, n)
-        if target in family:
-            bonus = EpsilonBonus(target, _bonus_vector(epsilon_bonus, n))
+        target = parse_partition(epsilon_partition, n).key
+        bonus = _bonus_vector(epsilon_bonus, n)
+        if target in label_to_id:  # the table checks the sums, which can overflow
+            def plus(vec: tuple[float, ...]) -> tuple[float, ...]:
+                return tuple(v + b for v, b in zip(vec, bonus))
+            exact = {k: plus(v) if k[0] == target else v for k, v in exact.items()}
+            wide[target] = plus(wide.get(target, default))
+    table = PayoffTable(n=n, exact=exact, partition_wide=wide, default=default)
 
     if isinstance(rule, str):
         if rule not in RULES:
@@ -614,6 +596,5 @@ def make_game(
         action_sets=action_sets,
         rule=rule_obj,
         payoffs=table,
-        epsilon=bonus,
         name=name,
     )

@@ -15,13 +15,21 @@ from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Sequence
 
 from .errors import GameSpecError, InvalidParameterError
-from .games import RULES, EpsilonBonus, Game, _bonus_vector, _labels_for, make_game
+from .games import RULES, Game, _bonus_vector, _labels_for, make_game
 from .partitions import Partition, enumerate_partitions, parse_partition
 
 _TOP_KEYS = {"name", "players", "K", "K_range", "rule", "actions", "payoffs",
              "default_payoff", "epsilon"}
 _ROW_KEYS = {"partition", "actions", "payoff"}
 _EPS_KEYS = {"partition", "bonus"}
+
+
+@dataclass(frozen=True)
+class EpsilonBonus:
+    """Additive per-player bonus paid whenever ``partition`` is realized."""
+
+    partition: Partition
+    per_player: tuple[float, ...]
 
 
 @dataclass(frozen=True)
@@ -349,17 +357,12 @@ def _plain(value: float):
     return int(value) if float(value).is_integer() else float(value)
 
 
-def build_game(
-    spec: GameSpec,
-    K: int | None = None,
-    *,
-    epsilon_bonus: float | Sequence[float] | None = None,
-) -> Game:
+def build_game(spec: GameSpec, K: int | None = None) -> Game:
     """Instantiate the game for one max coalition size.
 
     Payoff rows for partitions outside P(K) are dropped (they belong to
-    larger games in the family); ``epsilon_bonus`` overrides the spec's bonus
-    magnitude.
+    larger games in the family), and so is a bonus for a partition outside
+    P(K); ``GameSpec.with_epsilon`` overrides the bonus magnitude.
     """
     n = spec.n
     if K is None:
@@ -367,26 +370,23 @@ def build_game(
     if not 1 <= K <= n:
         raise InvalidParameterError(f"K={K} not in 1..{n}")
 
-    effective = spec if epsilon_bonus is None else spec.with_epsilon(epsilon_bonus)
     exact: dict[tuple[str, tuple[str, ...]], tuple[float, ...]] = {}
     wide: dict[str, tuple[float, ...]] = {}
-    for row in effective.payoff_rows:
+    for row in spec.payoff_rows:
         if row.action_labels is None:
             wide[row.partition_key] = row.payoff
         else:
             exact[(row.partition_key, row.action_labels)] = row.payoff
 
     return make_game(
-        players=effective.players,
+        players=spec.players,
         K=K,
-        rule=effective.rule,
-        action_labels=effective.actions,
+        rule=spec.rule,
+        action_labels=spec.actions,
         exact_payoffs=exact,
         partition_payoffs=wide,
-        default_payoff=effective.default_payoff,
-        epsilon_partition=(
-            effective.epsilon.partition.key if effective.epsilon else None
-        ),
-        epsilon_bonus=(effective.epsilon.per_player if effective.epsilon else 0.0),
-        name=(effective.name or "game") + f"[K={K}]",
+        default_payoff=spec.default_payoff,
+        epsilon_partition=spec.epsilon.partition.key if spec.epsilon else None,
+        epsilon_bonus=spec.epsilon.per_player if spec.epsilon else 0.0,
+        name=(spec.name or "game") + f"[K={K}]",
     )

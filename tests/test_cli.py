@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -362,6 +363,40 @@ def test_missing_subcommand_exits_two():
     assert code == 2
 
 
+def test_argparse_writes_to_the_injected_streams(capsys):
+    code, out, err = _run("solve", "x.spec", "--mode", "medium")
+    assert (code, out) == (2, "")
+    assert err.startswith("usage: coalgame solve") and "invalid choice: 'medium'" in err
+    code, out, err = _run("--help")
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: coalgame")
+    assert capsys.readouterr() == ("", "")
+
+
+_OVERFLOW_SPEC = {
+    "name": "overflow", "players": ["a", "b"], "K": 2, "rule": "coalition_unanimity",
+    "actions": ["x"],
+    "payoffs": [{"partition": "0,1", "payoff": [1e308, 1]}, {"partition": "0|1", "payoff": [0, 0]}],
+    "epsilon": {"partition": "0,1", "bonus": 1e308},
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "family"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_a_bonus_that_overflows_a_payoff_exits_two(tmp_path, command, fmt):
+    spec = tmp_path / "overflow.spec"
+    spec.write_text(json.dumps(_OVERFLOW_SPEC), encoding="utf-8")
+    zero = tmp_path / "overflow_zero.spec"
+    no_bonus = dict(_OVERFLOW_SPEC, epsilon={"partition": "0,1", "bonus": 0})
+    zero.write_text(json.dumps(no_bonus), encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for argv in ([str(spec)], [str(zero), "--epsilon", "1e308"]):
+            code, out, err = _run(command, *argv, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert "must be finite" in err
+
+
 # --- what each command loads and writes --------------------------------------
 
 @pytest.mark.parametrize(
@@ -542,6 +577,15 @@ _PURE_OUTPUT_DIGESTS = [
      "e51bb873a9ac8b5ab239df8a471254186913a3c4dd8e468bd3d7bdf57b81fe22"),
     (("solve", "pd", "--K", "1", "--format", "text"),
      "72056839477e0d179e8c4f10e91a1cb99eaf5ca658d398dee0413c8108417be9"),
+    # The bonus, set by --epsilon.
+    (("solve", "pd_extrovert", "--epsilon", "0.5", "--format", "json"),
+     "99d1ec2aef47c600e8a452d6fa9185b87c887691dd4fc223d40f3e7a4cab282f"),
+    (("family", "pd", "--epsilon", "2", "--format", "json"),
+     "c643f673266737f350e202ee6f6274c6f4765cde1e2aca16814bec6dab309ce5"),
+    (("family", "pd", "--epsilon", "2", "--format", "text"),
+     "c0f1514b215b7898daee31957e9c41b8b2f1a3edcdc722795d29b54af9375d54"),
+    (("solve", "pd", "--epsilon", "1", "--format", "text"),
+     "6bc6f0b470a77088769259865cf05347dadd6e78001972dcbbb2adb8c2740f63"),
 ]
 
 

@@ -19,6 +19,13 @@ def dinner_fam():
     return cg.dinner_family(2, 4)
 
 
+def test_a_family_base_carries_the_bonus_its_games_pay():
+    family = cg.pd_family(epsilon=2.0)
+    assert family.base.epsilon.per_player == (2.0, 2.0)
+    joint = pure_profile(family[2], ("0,1", "H"), ("0,1", "H"))
+    assert tuple(cg.payoff(family[2], joint)) == (0.0, 0.0)
+
+
 def test_pd_family_shape(pd_fam):
     assert pd_fam.k_values == (1, 2)
     assert pd_fam[1].strategy_counts == (2, 2)

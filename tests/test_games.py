@@ -1,4 +1,6 @@
 import itertools
+import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -219,6 +221,27 @@ def test_integers_too_large_for_a_float_are_not_finite():
             build()
 
 
+def test_a_bonus_that_overflows_a_payoff_is_not_finite():
+    bonus = dict(epsilon_partition="0,1", epsilon_bonus=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build in (
+            lambda: cg.make_game(["a", "b"], K=2, partition_payoffs={"0,1": [1e308, 1]}, **bonus),
+            lambda: cg.make_game(
+                ["a", "b"], K=2, exact_payoffs={("0,1", ("act", "act")): [0, 1e308]}, **bonus
+            ),
+            # No entry for the bonus partition: the default pays there.
+            lambda: cg.make_game(["a", "b"], K=2, default_payoff=[1e308, 0], **bonus),
+        ):
+            with pytest.raises(cg.InvalidParameterError, match="must be finite"):
+                build()
+
+
+def test_a_malformed_bonus_is_rejected_for_a_partition_outside_p_k():
+    with pytest.raises(cg.InvalidParameterError, match="length 2"):
+        cg.make_game(["a", "b"], K=1, epsilon_partition="0,1", epsilon_bonus=[1, 2, 3])
+
+
 def test_non_numeric_payoff_entries_are_invalid_parameters():
     for build in (
         lambda: cg.make_game(["a", "b"], K=1, default_payoff=["x", 0]),
@@ -309,23 +332,26 @@ def _reference_realized_index(game):
     return out
 
 
-def _reference_payoff_tensor(game):
-    """The per-profile payoff loop: realize every profile with the rule,
-    look up its (partition key, action ids) row, and add the bonus when the
-    designated partition is realized."""
-    out = np.empty(game.strategy_counts + (game.n,), dtype=np.float64)
-    for indices, profile in _profiles(game):
-        realized = game.rule.realize(profile)
+def _reference_payoff_tensor(plain, bonus_at=None, bonus=0.0):
+    """The per-profile payoff loop on ``plain``, a game built without a
+    bonus: realize every profile with the rule, look up its (partition key,
+    action ids) row, and add ``bonus`` (one number, or one per player) when
+    the partition with key ``bonus_at`` is realized."""
+    out = np.empty(plain.strategy_counts + (plain.n,), dtype=np.float64)
+    for indices, profile in _profiles(plain):
+        realized = plain.rule.realize(profile)
         actions = tuple(choice.action.id for choice in profile)
-        vec = np.asarray(game.payoffs.lookup(realized.key, actions), dtype=np.float64)
-        if game.epsilon is not None and realized == game.epsilon.partition:
-            vec = vec + np.asarray(game.epsilon.per_player)
+        vec = np.asarray(plain.payoffs.lookup(realized.key, actions), dtype=np.float64)
+        if realized.key == bonus_at:
+            vec = vec + np.asarray(bonus, dtype=np.float64)
         out[indices] = vec
     return out
 
 
-def _assert_matches_reference(game):
-    expected = _reference_payoff_tensor(game)
+def _assert_matches_reference(game, plain=None, bonus_at=None, bonus=0.0):
+    """``game``'s tensor is the per-profile loop's on ``plain`` (``game``
+    itself when it has no bonus) plus ``bonus`` at ``bonus_at``."""
+    expected = _reference_payoff_tensor(plain or game, bonus_at, bonus)
     assert game.payoff_tensor.dtype == expected.dtype
     assert np.array_equal(game.payoff_tensor, expected), game.name
 
@@ -336,9 +362,9 @@ def _assert_realized_matches_reference(game):
     assert np.array_equal(game.realized_index, expected), game.name
 
 
-def _partition_unanimity_game():
+def _partition_unanimity_game(bonus=0.25):
     """Two actions in the grand coalition, one elsewhere, under partition
-    unanimity."""
+    unanimity; the grand coalition pays ``bonus`` on top (None: no bonus)."""
     return cg.make_game(
         ["x", "y", "z"],
         K=3,
@@ -347,8 +373,8 @@ def _partition_unanimity_game():
         exact_payoffs={("0,1,2", ("in", "in", "out")): [5, 5, -1]},
         partition_payoffs={"0,1|2": [2, 2, 0], "0|1|2": [1, 1, 1]},
         default_payoff=[0, 0.5, 0],
-        epsilon_partition="0,1,2",
-        epsilon_bonus=0.25,
+        epsilon_partition=None if bonus is None else "0,1,2",
+        epsilon_bonus=bonus or 0.0,
         name="partition_unanimity_two_actions",
     )
 
@@ -356,22 +382,27 @@ def _partition_unanimity_game():
 def test_payoff_tensor_matches_the_per_profile_loop_on_bundled_specs():
     for name in cg.BUNDLED_SPECS:
         spec = cg.bundled_spec(name)
+        eps = spec.epsilon
+        bonus = (eps.partition.key, eps.per_player) if eps else (None, 0.0)
         for K in range(1, spec.n + 1):
-            _assert_matches_reference(cg.build_game(spec, K))
+            plain = cg.build_game(replace(spec, epsilon=None), K)
+            _assert_matches_reference(cg.build_game(spec, K), plain, *bonus)
 
 
 def test_payoff_tensor_matches_the_per_profile_loop_with_epsilon_overridden():
     spec = cg.bundled_spec("pd_extrovert")
+    plain = {K: cg.build_game(replace(spec, epsilon=None), K) for K in (1, 2)}
     for bonus in (0.25, (1.5, -0.5), 0.0):
         for K in (1, 2):
-            _assert_matches_reference(cg.build_game(spec, K, epsilon_bonus=bonus))
+            game = cg.build_game(spec.with_epsilon(bonus), K)
+            _assert_matches_reference(game, plain[K], "0,1", bonus)
 
 
 def test_payoff_tensor_matches_the_per_profile_loop_under_partition_unanimity():
     game = _partition_unanimity_game()
     assert game.strategy_counts == (6, 6, 6)
     assert np.all(game.payoff_tensor == (5.25, 5.25, -0.75), axis=-1).sum() == 1
-    _assert_matches_reference(game)
+    _assert_matches_reference(game, _partition_unanimity_game(None), "0,1,2", 0.25)
 
 
 def _escaping_game():
@@ -408,6 +439,8 @@ _bonus_values = st.floats(-2, 2, allow_nan=False, allow_infinity=False)
 
 @st.composite
 def _small_games(draw):
+    """Keyword arguments of ``make_game`` for a small game, with a bonus at
+    a partition of P(K) or none."""
     n = draw(st.integers(2, 3))
     K = draw(st.integers(1, n))
     keys = [p.key for p in cg.enumerate_partitions(n, K)]
@@ -421,8 +454,8 @@ def _small_games(draw):
             if draw(st.booleans()):
                 exact[(key, actions)] = draw(vectors)
     bonus_at = draw(st.none() | st.sampled_from(keys))
-    return cg.make_game(
-        [f"p{i}" for i in range(n)],
+    return dict(
+        players=[f"p{i}" for i in range(n)],
         K=K,
         rule=draw(st.sampled_from(["coalition_unanimity", "partition_unanimity"])),
         action_labels=labels,
@@ -436,9 +469,11 @@ def _small_games(draw):
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(_small_games())
-def test_both_tensors_match_the_per_profile_loops_on_small_games(game):
+def test_both_tensors_match_the_per_profile_loops_on_small_games(args):
+    game = cg.make_game(**args)
+    plain = cg.make_game(**dict(args, epsilon_partition=None))
     _assert_realized_matches_reference(game)
-    _assert_matches_reference(game)
+    _assert_matches_reference(game, plain, args["epsilon_partition"], args["epsilon_bonus"])
 
 
 def test_tensors_call_form_once_per_key_combination(monkeypatch):
@@ -603,9 +638,11 @@ def test_make_game_takes_arrays_wherever_it_takes_payoff_tuples():
 
     reference, game = build(tuple), build(np.array)
     assert game.payoffs == reference.payoffs
-    assert game.epsilon == reference.epsilon
     assert game.action_sets == reference.action_sets
     assert np.array_equal(game.payoff_tensor, reference.payoff_tensor)
+    # The bonus is paid on the grand coalition's payoffs.
+    profile = pure_profile(game, ("0,1,2", "in"), ("0,1,2", "in"), ("0,1,2", "out"))
+    assert tuple(cg.payoff(game, profile)) == (5.25, 5.0, 0.0)
     # No default, or an empty one, pays zero.
     for empty in (None, (), np.array([])):
         game = cg.make_game(["a", "b"], K=1, default_payoff=empty)

@@ -6,6 +6,8 @@ import pytest
 import coalgame as cg
 from coalgame.gamespec import parse_spec, serialize_spec
 
+from conftest import pure_profile
+
 
 def test_bundled_dinner_spec_contents():
     spec = cg.bundled_spec("dinner")
@@ -64,10 +66,12 @@ def test_scalar_bonus_becomes_per_player_vector():
 
 
 def test_epsilon_override():
-    game = cg.pd_game(2, epsilon=2.5)
-    assert game.epsilon.per_player == (2.5, 2.5)
+    game, plain = cg.pd_game(2, epsilon=2.5), cg.pd_game(2)
+    joint = pure_profile(game, ("0,1", "H"), ("0,1", "H"))
+    assert tuple(cg.payoff(plain, joint)) == (-2.0, -2.0)
+    assert tuple(cg.payoff(game, joint)) == (0.5, 0.5)
     with pytest.raises(cg.InvalidParameterError):
-        cg.build_game(cg.bundled_spec("dinner"), epsilon_bonus=1.0)
+        cg.bundled_spec("dinner").with_epsilon(1.0)
 
 
 def test_epsilon_bonus_is_a_number_or_any_1d_sequence():
@@ -76,10 +80,14 @@ def test_epsilon_bonus_is_a_number_or_any_1d_sequence():
     def make(bonus):
         return cg.make_game(["x", "y"], K=2, epsilon_partition="0,1", epsilon_bonus=bonus)
 
+    def paid(game):
+        """The payoff when both announce the joint coalition (0 without a bonus)."""
+        return tuple(cg.payoff(game, pure_profile(game, "0,1", "0,1")))
+
     for bonus in ([0.5, 0.25], (0.5, 0.25), np.array([0.5, 0.25])):
         assert spec.with_epsilon(bonus).epsilon.per_player == (0.5, 0.25)
-        assert make(bonus).epsilon.per_player == (0.5, 0.25)
-    assert make(np.float64(0.5)).epsilon.per_player == (0.5, 0.5)
+        assert paid(make(bonus)) == (0.5, 0.25)
+    assert paid(make(np.float64(0.5))) == (0.5, 0.5)
     for bad in ([1.0], np.ones(3), np.ones((2, 2))):
         with pytest.raises(cg.InvalidParameterError):
             spec.with_epsilon(bad)

@@ -219,7 +219,11 @@ def test_reports_match_the_per_result_reference_on_every_bundled_spec(name):
 
 
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(_small_games(), st.sampled_from(["weak", "strict"]), st.sampled_from([None, 1, 2]))
+@given(
+    _small_games().map(lambda args: cg.make_game(**args)),
+    st.sampled_from(["weak", "strict"]),
+    st.sampled_from([None, 1, 2]),
+)
 def test_reports_match_the_per_result_reference_on_small_games(game, mode, max_support):
     # The budget keeps the mixed search small; over it, both paths skip it.
     options = SolveOptions(mode=mode, max_support=max_support, budget=1000)
